@@ -234,10 +234,16 @@ pub struct CheckpointCacheKey {
 impl CheckpointCacheKey {
     /// Computes the key for `workload`.
     pub fn for_workload<W: Workload + ?Sized>(workload: &W) -> Self {
+        Self::for_profile(&ProfileCacheKey::for_workload(workload))
+    }
+
+    /// The checkpoint key of the workload `profile_key` addresses — the
+    /// same identity, without fingerprinting the workload again.
+    pub(crate) fn for_profile(profile_key: &ProfileCacheKey) -> Self {
         Self {
-            workload_name: workload.name().to_string(),
-            threads: workload.num_threads(),
-            fingerprint: workload.profile_fingerprint(),
+            workload_name: profile_key.workload_name.clone(),
+            threads: profile_key.threads,
+            fingerprint: profile_key.fingerprint,
         }
     }
 

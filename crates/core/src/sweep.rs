@@ -784,14 +784,16 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     /// Derives the configuration-only key components; see [`StaticKeys`].
     fn build_static_keys(&self) -> StaticKeys {
         let base = self.base.workload();
+        // The one fingerprint of the base workload per sweep: every other
+        // base key derives from the profile key.
         let profile_key = ProfileCacheKey::for_workload(base);
-        let checkpoint_key = CheckpointCacheKey::for_workload(base);
+        let checkpoint_key = CheckpointCacheKey::for_profile(&profile_key);
         let selection_keys = self
             .effective_strategies()
             .iter()
             .map(|(_, strategy)| {
-                SelectionCacheKey::for_workload(
-                    base,
+                SelectionCacheKey::new(
+                    &profile_key,
                     self.base.signature_config(),
                     strategy.as_ref(),
                 )
@@ -1154,6 +1156,31 @@ mod tests {
         assert_eq!(warm.counters().simulated_cache_hits, 2, "both points served");
         assert_eq!(cache.stats().simulated_memory_hits, 1, "one physical probe for the pair");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn static_keys_derived_from_one_fingerprint_equal_the_workload_keys() {
+        use bp_clustering::{SimPointStrategy, TwoPhaseStratified};
+        let w = workload(2);
+        let strategies: [Arc<dyn SelectionStrategy>; 2] = [
+            Arc::new(SimPointStrategy::new(SimPointConfig::paper())),
+            Arc::new(TwoPhaseStratified::with_budget(4)),
+        ];
+        let sweep = Sweep::new(&w)
+            .add_strategy("simpoint", strategies[0].clone())
+            .add_strategy("stratified", strategies[1].clone())
+            .add_config("base", SimConfig::scaled(2));
+        let statics = sweep.build_static_keys();
+        assert_eq!(statics.profile_key, ProfileCacheKey::for_workload(&w));
+        assert_eq!(statics.checkpoint_key, CheckpointCacheKey::for_workload(&w));
+        let signature_config = sweep.base.signature_config();
+        let expected: Vec<SelectionCacheKey> = strategies
+            .iter()
+            .map(|strategy| {
+                SelectionCacheKey::for_workload(&w, signature_config, strategy.as_ref())
+            })
+            .collect();
+        assert_eq!(statics.selection_keys, expected);
     }
 
     /// Regression test: the warmup sharing key used to identify workloads by

@@ -1,4 +1,7 @@
-use std::collections::HashMap;
+use bp_workload::LineMap;
+
+/// Timestamps at or below which [`StackDistanceTracker`] never compacts.
+const COMPACT_FLOOR: usize = 1_048_576;
 
 /// Exact LRU stack distance (reuse distance) computation.
 ///
@@ -18,7 +21,7 @@ pub struct StackDistanceTracker {
     /// latest access of some line.
     tree: Vec<u64>,
     /// Last access timestamp of each line.
-    last: HashMap<u64, usize>,
+    last: LineMap<usize>,
     /// Next timestamp (1-based for the Fenwick tree); may shrink on compaction.
     time: usize,
     /// Total accesses recorded (monotonic, unaffected by compaction).
@@ -97,19 +100,46 @@ impl StackDistanceTracker {
     /// Rebuilds a tracker from a [`checkpoint`](Self::checkpoint) — the
     /// Fenwick tree is reconstructed from the last-access marks (it is
     /// always derivable from them, exactly as compaction rebuilds it).
-    pub(crate) fn from_checkpoint(time: u64, total: u64, entries: &[(u64, u64)]) -> Self {
+    ///
+    /// Checkpoints may arrive from a disk cache, so the state is rejected
+    /// unless [`record`](Self::record) could have reached it: timestamps
+    /// strictly increase, the newest one is `time` (the last access is
+    /// always some line's latest), lines are distinct, `time` never exceeds
+    /// `total`, and `time` lies within the compaction bound — which also
+    /// bounds the Fenwick tree allocated from it.
+    pub(crate) fn from_checkpoint(
+        time: u64,
+        total: u64,
+        entries: &[(u64, u64)],
+    ) -> Result<Self, String> {
+        let bound =
+            (COMPACT_FLOOR as u64).max(8u64.saturating_mul(entries.len() as u64)).saturating_add(1);
+        if time > bound || time > total {
+            return Err(format!("time {time} past compaction bound {bound} or total {total}"));
+        }
+        let newest = entries.last().map_or(0, |&(t, _)| t);
+        if newest != time {
+            return Err(format!("newest timestamp {newest} is not the time {time}"));
+        }
         let time = time as usize;
         let mut tracker = Self {
             tree: vec![0; (time + 2).next_power_of_two().max(64)],
-            last: HashMap::with_capacity(entries.len()),
+            last: LineMap::with_capacity_and_hasher(entries.len(), Default::default()),
             time,
             total: total as usize,
         };
+        let mut prev = 0;
         for &(t, line) in entries {
-            tracker.last.insert(line, t as usize);
+            if t <= prev {
+                return Err(format!("timestamp {t} not increasing"));
+            }
+            prev = t;
+            if tracker.last.insert(line, t as usize).is_some() {
+                return Err(format!("line {line:#x} recorded twice"));
+            }
             tracker.tree_add(t as usize, 1);
         }
-        tracker
+        Ok(tracker)
     }
 
     /// Records an access to `line` and returns its LRU stack distance, or
@@ -117,7 +147,7 @@ impl StackDistanceTracker {
     pub fn record(&mut self, line: u64) -> Option<u64> {
         // Keep the timestamp space compact: once timestamps far outnumber the
         // distinct lines, renumber them.
-        if self.time > 1_048_576 && self.time > 8 * self.last.len() {
+        if self.time > COMPACT_FLOOR && self.time > 8 * self.last.len() {
             self.compact();
         }
         self.total += 1;
@@ -137,18 +167,18 @@ impl StackDistanceTracker {
                 self.tree_add(t, 1);
             }
         }
-        let distance = match self.last.get(&line).copied() {
+        let distance = match self.last.insert(line, now) {
             Some(prev) => {
-                // Distinct lines accessed strictly after `prev`.
-                let marked_after_prev =
-                    self.tree_prefix_sum(self.tree.len() - 1) - self.tree_prefix_sum(prev);
+                // Distinct lines accessed strictly after `prev`: every line
+                // holds one mark (`now` is not marked yet), so all marks sum
+                // to the line count.
+                let marked_after_prev = self.last.len() as u64 - self.tree_prefix_sum(prev);
                 self.tree_add(prev, -1);
                 Some(marked_after_prev)
             }
             None => None,
         };
         self.tree_add(now, 1);
-        self.last.insert(line, now);
         distance
     }
 }
@@ -246,13 +276,40 @@ mod tests {
         let (time, total, entries) = original.checkpoint();
         // Checkpoint bytes are deterministic (sorted), not hash-ordered.
         assert_eq!(original.checkpoint(), (time, total, entries.clone()));
-        let mut restored = StackDistanceTracker::from_checkpoint(time, total, &entries);
+        let mut restored =
+            StackDistanceTracker::from_checkpoint(time, total, &entries).expect("own checkpoint");
         assert_eq!(restored.unique_lines(), original.unique_lines());
         assert_eq!(restored.accesses(), original.accesses());
         for &line in &pattern[250..] {
             assert_eq!(restored.record(line), original.record(line), "line {line}");
         }
         assert_eq!(restored.checkpoint(), original.checkpoint());
+    }
+
+    #[test]
+    fn from_checkpoint_rejects_unreachable_states() {
+        let ok = |time, total, entries: &[(u64, u64)]| {
+            StackDistanceTracker::from_checkpoint(time, total, entries).is_ok()
+        };
+        // Times no walk reaches: without the compaction bound these would
+        // size the Fenwick tree (u64::MAX also overflowed the old sizing).
+        assert!(!ok(u64::MAX, u64::MAX, &[(u64::MAX, 1)]));
+        assert!(!ok(1 << 40, 1 << 40, &[(1 << 40, 1)]));
+        // The bound is exact: an uncompacted tracker reaches 2^20 + 1.
+        assert!(ok(1_048_577, 1_048_577, &[(1_048_577, 1)]));
+        assert!(!ok(1_048_578, 1_048_578, &[(1_048_578, 1)]));
+        // Time never runs ahead of the access total.
+        assert!(!ok(5, 4, &[(5, 1)]));
+        // The newest mark is the time itself.
+        assert!(!ok(5, 5, &[(4, 1)]));
+        assert!(!ok(3, 3, &[]));
+        assert!(ok(0, 0, &[]));
+        // Marks past the time (which the tree silently dropped), duplicate
+        // timestamps and duplicate lines.
+        assert!(!ok(5, 5, &[(5, 1), (9, 2)]));
+        assert!(!ok(5, 5, &[(5, 1), (5, 2)]));
+        assert!(!ok(5, 5, &[(2, 1), (5, 1)]));
+        assert!(ok(5, 9, &[(2, 1), (5, 2)]));
     }
 
     proptest! {
@@ -280,7 +337,8 @@ mod tests {
                 original.record(line);
             }
             let (time, total, entries) = original.checkpoint();
-            let mut restored = StackDistanceTracker::from_checkpoint(time, total, &entries);
+            let mut restored = StackDistanceTracker::from_checkpoint(time, total, &entries)
+                .expect("own checkpoint");
             for &line in &pattern[cut..] {
                 prop_assert_eq!(restored.record(line), original.record(line));
             }

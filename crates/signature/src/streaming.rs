@@ -145,7 +145,8 @@ impl CheckpointObserver for ThreadProfileObserver {
         if de.remaining() != 0 {
             return Err(CheckpointError::new("profiler state: trailing bytes"));
         }
-        self.tracker = StackDistanceTracker::from_checkpoint(time, total, &entries);
+        self.tracker = StackDistanceTracker::from_checkpoint(time, total, &entries)
+            .map_err(|reason| CheckpointError::new(format!("profiler state: {reason}")))?;
         Ok(())
     }
 }
@@ -412,6 +413,31 @@ mod tests {
         bp_workload::drive(&w, 0, &mut [&mut b]);
         let region = w.num_regions();
         assert_eq!(a.snapshot_at(region), b.snapshot_at(region));
+    }
+
+    #[test]
+    fn profiler_checkpoint_images_are_pinned() {
+        // Cached `.bpckpt` entries stay valid only while the image of a given
+        // walk never changes: pin the bytes at segment cuts of every thread,
+        // including after a walk resumed from a restored image.
+        let w = workload();
+        let regions = w.num_regions();
+        let mut hasher = bp_workload::FingerprintHasher::new();
+        for thread in 0..w.num_threads() {
+            for cut in [1, regions / 2, regions - 1] {
+                let mut first = ThreadProfileObserver::new(&w, thread);
+                bp_workload::drive_segment(&w, thread, 0, cut, &mut [&mut first]);
+                let image = first.snapshot_at(cut);
+                let mut second = ThreadProfileObserver::new(&w, thread);
+                second.restore(cut, &image).expect("own image");
+                bp_workload::drive_segment(&w, thread, cut, regions, &mut [&mut second]);
+                for image in [image, second.snapshot_at(regions)] {
+                    hasher.write_u64(image.len() as u64);
+                    hasher.write_bytes(&image);
+                }
+            }
+        }
+        assert_eq!(hasher.finish(), 0xff34_7561_dffb_a64c);
     }
 
     #[test]

@@ -41,9 +41,12 @@
 //! oracle in the test suite.  Driven alone the observer reproduces the
 //! dedicated pass (and stops the walk after its last boundary); driven
 //! next to `bp-signature`'s profiling observer it shares the single trace
-//! generation of a fused cold pass.  The collector's capacity-dependent
-//! dirty bit is tracked with a Fenwick tree over live sequence ranks, so
-//! the per-access depth query is `O(log n)`.
+//! generation of a fused cold pass.  The collector keeps each thread's
+//! recency list as a sequence-indexed slot vector (a re-access or eviction
+//! empties the old slot; a forward-only cursor finds the oldest live one),
+//! and tracks the capacity-dependent dirty bit with a Fenwick tree over
+//! those slots, so recording an access is one line-map probe, one push and
+//! an `O(log n)` depth query.
 //!
 //! # Example
 //!

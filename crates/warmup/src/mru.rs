@@ -1,7 +1,10 @@
 use bp_exec::{ExecutionPolicy, WorkerBudget};
-use bp_workload::{BlockExecution, CheckpointError, CheckpointObserver, TraceObserver, Workload};
+use bp_workload::{
+    BlockExecution, CheckpointError, CheckpointObserver, LineMap, LineSet, TraceObserver, Workload,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// The warmup payload of one barrierpoint: per core, the most recently used
 /// unique cache lines (least recent first) together with the most recent
@@ -63,79 +66,185 @@ struct LineState {
 /// One live residency in a checkpoint image: `(seq, line, tick, dirty_depth)`.
 type CheckpointEntry = (u64, u64, u64, u64);
 
-/// One thread's MRU recency state: the live residencies ordered by access
-/// sequence, per-line state, and a Fenwick tree of the live sequence ranks
-/// that answers the dirty-depth query ("how many distinct lines were touched
-/// since this line's own last access?") in `O(log n)` instead of the old
-/// `BTreeMap::range().count()` scan, which was `O(depth)` per re-read of a
-/// written line.
-#[derive(Debug, Clone, Default)]
+/// Sequence numbers at or below which [`ThreadMruState`] never compacts.
+const COMPACT_FLOOR: u64 = 4096;
+
+/// One thread's MRU recency state: a sequence-indexed slot vector holding
+/// the live residencies in recency order, per-line state, and a Fenwick tree
+/// over the slots that answers the dirty-depth query ("how many distinct
+/// lines were touched since this line's own last access?") in `O(log n)`.
+///
+/// Every access takes the next sequence number and appends its line's slot;
+/// a re-access empties the line's previous slot and an eviction empties the
+/// oldest occupied one, found by a cursor that only moves forward.  Recording
+/// an access therefore costs one line-map probe, one push and a few Fenwick
+/// steps.  Compaction ([`maybe_compact`](Self::maybe_compact)) renumbers the
+/// live slots to `1..=n` once the sequence space far outgrows the live set,
+/// which bounds both vectors by the collection capacity, not the trace
+/// length.
+#[derive(Debug, Clone)]
 struct ThreadMruState {
-    /// Ordering sequence -> line, live residencies only (recency order).
-    by_seq: BTreeMap<u64, u64>,
-    /// Line -> recency state.
-    by_line: HashMap<u64, LineState>,
-    /// Fenwick tree over sequence numbers; `tree[s] == 1` iff sequence `s`
-    /// is live (present in `by_seq`).  1-based, power-of-two sized.
-    tree: Vec<u64>,
-    /// Next sequence number (per thread; renumbered by compaction).
-    next_seq: u64,
+    /// Sequence -> line of the residency it numbers.  Sequences start at 1
+    /// (the Fenwick tree is 1-based), so slot 0 stays empty and
+    /// `slots.len() - 1` is the last sequence handed out.
+    slots: Vec<u64>,
+    /// Per sequence, whether its residency is still live: a re-access or an
+    /// eviction empties the slot.  Kept apart from `slots` (rather than as
+    /// `Option<u64>`, twice the size) because a finished segment walk holds
+    /// its state until the bank is stitched.
+    occupied: Vec<bool>,
+    /// Every slot below `head` is empty: the eviction cursor.
+    head: usize,
+    /// Occupied slots, i.e. live residencies.
+    live: usize,
+    /// Line -> recency state, live lines only.
+    by_line: LineMap<LineState>,
+    /// Fenwick tree over `slots` (same length) counting occupied slots.  A
+    /// node counts at most `slots.len()` slots, which the compaction rule
+    /// keeps within `8 * (live + 1) + 1`: a `u32` count would overflow only
+    /// past 2^29 live lines.
+    tree: Vec<u32>,
     /// Next access tick (per thread; never renumbered — see
     /// [`LineState::tick`]).
     next_tick: u64,
 }
 
+/// The lowest set bit of a Fenwick index: the span of slots its node covers.
+fn lowbit(idx: usize) -> usize {
+    idx & idx.wrapping_neg()
+}
+
 impl ThreadMruState {
-    fn tree_add(&mut self, mut idx: usize, delta: i64) {
-        while idx < self.tree.len() {
-            self.tree[idx] = (self.tree[idx] as i64 + delta) as u64;
-            idx += idx & idx.wrapping_neg();
+    fn new() -> Self {
+        Self {
+            slots: vec![0],
+            occupied: vec![false],
+            head: 1,
+            live: 0,
+            by_line: LineMap::default(),
+            tree: vec![0],
+            next_tick: 0,
         }
     }
 
-    fn tree_prefix_sum(&self, mut idx: usize) -> u64 {
+    /// The last sequence number handed out (renumbered by compaction).
+    fn next_seq(&self) -> u64 {
+        self.slots.len() as u64 - 1
+    }
+
+    /// Live lines, least recent first.
+    fn lines(&self) -> impl Iterator<Item = u64> + '_ {
+        let live = self.occupied[self.head..].iter();
+        self.slots[self.head..].iter().zip(live).filter(|(_, &live)| live).map(|(&line, _)| line)
+    }
+
+    /// Occupied slots at or below index `idx`.
+    fn prefix_sum(tree: &[u32], mut idx: usize) -> u64 {
         let mut sum = 0;
-        idx = idx.min(self.tree.len().saturating_sub(1));
         while idx > 0 {
-            sum += self.tree[idx];
-            idx -= idx & idx.wrapping_neg();
+            sum += u64::from(tree[idx]);
+            idx -= lowbit(idx);
         }
         sum
     }
 
-    /// Live sequences strictly greater than `seq` — the recency depth of the
-    /// line whose current residency is `seq`.  Exactly what
-    /// `by_seq.range(seq + 1..).count()` used to compute, in `O(log n)`.
-    fn depth_of(&self, seq: u64) -> u64 {
-        self.by_seq.len() as u64 - self.tree_prefix_sum(seq as usize)
-    }
-
-    /// Marks `seq` live.  Must be called *after* inserting it into `by_seq`:
-    /// growing the tree rebuilds from the live set, which must already
-    /// include `seq`.
-    fn mark(&mut self, seq: u64) {
-        let idx = seq as usize;
-        if idx >= self.tree.len() {
-            self.rebuild_tree((idx + 1).next_power_of_two().max(64));
-        } else {
-            self.tree_add(idx, 1);
+    /// Counts the slot at index `idx` as empty in the Fenwick tree.
+    fn release(tree: &mut [u32], mut idx: usize) {
+        while idx < tree.len() {
+            tree[idx] -= 1;
+            idx += lowbit(idx);
         }
     }
 
-    fn unmark(&mut self, seq: u64) {
-        self.tree_add(seq as usize, -1);
+    /// Appends one occupied slot to the Fenwick tree: the new node sums the
+    /// nodes of the span it covers, in `O(log n)`.
+    fn push_occupied(tree: &mut Vec<u32>) {
+        let idx = tree.len();
+        let stop = idx - lowbit(idx);
+        let mut sum = 1;
+        let mut child = idx - 1;
+        while child > stop {
+            sum += tree[child];
+            child -= lowbit(child);
+        }
+        tree.push(sum);
     }
 
-    /// Rebuilds the Fenwick tree at `len` slots from the live set.  (A
-    /// Fenwick tree cannot simply be zero-extended: appended internal nodes
-    /// cover existing index ranges.)
-    fn rebuild_tree(&mut self, len: usize) {
+    /// Rebuilds the Fenwick tree from the slots in `O(n)`.
+    fn rebuild_tree(&mut self) {
         self.tree.clear();
-        self.tree.resize(len, 0);
-        let live: Vec<u64> = self.by_seq.keys().copied().collect();
-        for seq in live {
-            self.tree_add(seq as usize, 1);
+        self.tree.extend(self.occupied.iter().map(|&live| u32::from(live)));
+        for idx in 1..self.tree.len() {
+            let parent = idx + lowbit(idx);
+            if parent < self.tree.len() {
+                self.tree[parent] += self.tree[idx];
+            }
         }
+    }
+
+    /// Records one access, returning the line it evicted from a list bounded
+    /// by `capacity` (if any).
+    fn record(&mut self, line: u64, is_write: bool, capacity: u64) -> Option<u64> {
+        self.maybe_compact();
+        self.next_tick += 1;
+        let seq = self.slots.len();
+        let state = LineState { seq: seq as u64, tick: self.next_tick, dirty_depth: 0 };
+        let previous = match self.by_line.entry(line) {
+            Entry::Occupied(mut entry) => {
+                let prev = *entry.get();
+                let dirty_depth = if is_write {
+                    // A write is in-residency at every capacity that still
+                    // holds the line — and re-enters the line dirty where it
+                    // was evicted.
+                    0
+                } else if prev.dirty_depth == u64::MAX {
+                    // Never written in this residency: stays clean
+                    // everywhere.  `u64::MAX` is absorbing, so the depth
+                    // query is skipped.
+                    u64::MAX
+                } else {
+                    // Read of a line written earlier in this residency: the
+                    // dirty state survives at capacity `c` only if the line
+                    // never sank to depth >= c since that write.  The current
+                    // depth is the number of live lines accessed after the
+                    // line's own last access.
+                    let depth = self.live as u64 - Self::prefix_sum(&self.tree, prev.seq as usize);
+                    prev.dirty_depth.max(depth)
+                };
+                entry.insert(LineState { dirty_depth, ..state });
+                Some(prev.seq as usize)
+            }
+            Entry::Vacant(entry) => {
+                // (Re-)entering the list through a read: clean everywhere.
+                let dirty_depth = if is_write { 0 } else { u64::MAX };
+                entry.insert(LineState { dirty_depth, ..state });
+                None
+            }
+        };
+        match previous {
+            Some(prev) => {
+                self.occupied[prev] = false;
+                Self::release(&mut self.tree, prev);
+            }
+            None => self.live += 1,
+        }
+        self.slots.push(line);
+        self.occupied.push(true);
+        Self::push_occupied(&mut self.tree);
+        if self.live as u64 <= capacity {
+            return None;
+        }
+        // The oldest occupied slot; at least one lies at or past `head`.
+        while !self.occupied[self.head] {
+            self.head += 1;
+        }
+        let evicted = self.slots[self.head];
+        self.occupied[self.head] = false;
+        Self::release(&mut self.tree, self.head);
+        self.head += 1;
+        self.live -= 1;
+        self.by_line.remove(&evicted);
+        Some(evicted)
     }
 
     /// The state's checkpoint image: `(next_seq, next_tick, entries)` with
@@ -144,70 +253,98 @@ impl ThreadMruState {
     /// renumbered), so a restored state reproduces future behaviour —
     /// including [`maybe_compact`](Self::maybe_compact) timing, which
     /// depends only on `next_seq` and the live count — bit for bit.  The
-    /// `by_seq` iteration order makes the image deterministic.
+    /// slot order makes the image deterministic.
     fn checkpoint(&self) -> (u64, u64, Vec<CheckpointEntry>) {
         let entries = self
-            .by_seq
-            .iter()
-            .map(|(&seq, &line)| match self.by_line.get(&line) {
-                Some(state) => (seq, line, state.tick, state.dirty_depth),
-                // `by_seq` and `by_line` always hold the same line set.
-                None => unreachable!("line {line:#x} in by_seq but not by_line"),
+            .lines()
+            .map(|line| match self.by_line.get(&line) {
+                Some(state) => (state.seq, line, state.tick, state.dirty_depth),
+                // The occupied slots and `by_line` hold the same line set.
+                None => unreachable!("line {line:#x} occupies a slot but is not in by_line"),
             })
             .collect();
-        (self.next_seq, self.next_tick, entries)
+        (self.next_seq(), self.next_tick, entries)
     }
 
-    /// Rebuilds a state from a [`checkpoint`](Self::checkpoint) image,
-    /// validating its internal consistency (checkpoints may arrive from a
-    /// disk cache).  The Fenwick tree is reconstructed from the live set,
-    /// exactly as compaction rebuilds it; its length never affects query
-    /// results, only when the next growth-rebuild happens.
+    /// Rebuilds a state from a [`checkpoint`](Self::checkpoint) image.
+    /// Checkpoints may arrive from a disk cache, so the image is rejected
+    /// unless [`record`](Self::record) could have produced it: sequences
+    /// and ticks increase together, the newest residency holds both
+    /// counters (capacity is at least one line, so the last access is
+    /// always live), lines are distinct, every dirty depth is below the
+    /// live count, and `next_seq` lies within the compaction bound — which
+    /// also bounds the slot vector allocated from it.
     fn from_checkpoint(
         next_seq: u64,
         next_tick: u64,
         entries: &[CheckpointEntry],
     ) -> Result<Self, String> {
-        let mut state = Self { next_seq, next_tick, ..Self::default() };
-        let mut prev_seq = 0;
+        let live = entries.len() as u64;
+        let bound = (COMPACT_FLOOR + 1).max(8u64.saturating_mul(live + 1));
+        if next_seq > bound {
+            return Err(format!("sequence counter {next_seq} past compaction bound {bound}"));
+        }
+        let newest = entries.last().map_or((0, 0), |&(seq, _, tick, _)| (seq, tick));
+        if newest != (next_seq, next_tick) {
+            return Err(format!(
+                "newest residency {newest:?} does not hold the counters ({next_seq}, {next_tick})"
+            ));
+        }
+        let mut state = Self::new();
+        state.slots.resize(next_seq as usize + 1, 0);
+        state.occupied.resize(next_seq as usize + 1, false);
+        state.next_tick = next_tick;
+        let (mut prev_seq, mut prev_tick) = (0, 0);
         for &(seq, line, tick, dirty_depth) in entries {
-            if seq <= prev_seq {
-                return Err(format!("sequence {seq} not increasing"));
+            if seq <= prev_seq || tick <= prev_tick {
+                return Err(format!("sequence {seq} / tick {tick} not increasing"));
             }
-            prev_seq = seq;
+            (prev_seq, prev_tick) = (seq, tick);
+            if dirty_depth != u64::MAX && dirty_depth >= live {
+                return Err(format!("dirty depth {dirty_depth} past {live} live lines"));
+            }
             if state.by_line.insert(line, LineState { seq, tick, dirty_depth }).is_some() {
                 return Err(format!("line {line:#x} recorded twice"));
             }
-            state.by_seq.insert(seq, line);
+            state.slots[seq as usize] = line;
+            state.occupied[seq as usize] = true;
         }
-        if prev_seq > next_seq {
-            return Err(format!("live sequence {prev_seq} past counter {next_seq}"));
-        }
-        state.rebuild_tree((next_seq as usize + 2).next_power_of_two().max(64));
+        state.live = entries.len();
+        state.head = entries.first().map_or(1, |&(seq, ..)| seq as usize);
+        state.rebuild_tree();
         Ok(state)
     }
 
     /// Renumbers the live sequences to `1..=n` (preserving order) once the
     /// sequence space far outgrows the capacity-bounded live set, keeping
-    /// the Fenwick tree's size proportional to the collection capacity
-    /// rather than to the trace length.
+    /// the slot vector and Fenwick tree proportional to the collection
+    /// capacity rather than to the trace length.
     fn maybe_compact(&mut self) {
-        if self.next_seq <= 4096 || self.next_seq < 8 * (self.by_seq.len() as u64 + 1) {
+        let next_seq = self.next_seq();
+        if next_seq <= COMPACT_FLOOR || next_seq < 8 * (self.live as u64 + 1) {
             return;
         }
-        let entries: Vec<u64> = self.by_seq.values().copied().collect();
-        self.by_seq.clear();
-        for (i, line) in entries.iter().enumerate() {
-            let seq = i as u64 + 1;
-            self.by_seq.insert(seq, *line);
-            match self.by_line.get_mut(line) {
-                Some(state) => state.seq = seq,
-                // `by_seq` and `by_line` always hold the same line set.
-                None => unreachable!("line {line:#x} in by_seq but not by_line"),
+        let mut seq = 1;
+        for idx in self.head..self.slots.len() {
+            if !self.occupied[idx] {
+                continue;
             }
+            let line = self.slots[idx];
+            self.slots[seq] = line;
+            match self.by_line.get_mut(&line) {
+                Some(state) => state.seq = seq as u64,
+                // The occupied slots and `by_line` hold the same line set.
+                None => unreachable!("line {line:#x} occupies a slot but is not in by_line"),
+            }
+            seq += 1;
         }
-        self.next_seq = entries.len() as u64;
-        self.rebuild_tree((entries.len() + 2).next_power_of_two().max(64));
+        self.slots.truncate(seq);
+        self.occupied.truncate(seq);
+        self.occupied[1..].fill(true);
+        self.head = 1;
+        // Every slot is occupied: a node counts exactly the span it covers.
+        self.tree.clear();
+        self.tree.extend((0..seq).map(|idx| lowbit(idx) as u32));
     }
 }
 
@@ -238,7 +375,7 @@ impl MruCollector {
     /// capacity visible to a core).
     pub fn new(threads: usize, capacity_lines: u64) -> Self {
         Self {
-            threads: vec![ThreadMruState::default(); threads],
+            threads: vec![ThreadMruState::new(); threads],
             capacity_lines: capacity_lines.max(1),
         }
     }
@@ -253,49 +390,7 @@ impl MruCollector {
     /// the signal interval-sharing snapshot consumers need to know a
     /// residency ended.
     pub fn record(&mut self, thread: usize, line: u64, is_write: bool) -> Option<u64> {
-        let capacity = self.capacity_lines;
-        let state = &mut self.threads[thread];
-        state.maybe_compact();
-        state.next_seq += 1;
-        state.next_tick += 1;
-        let seq = state.next_seq;
-        let tick = state.next_tick;
-        let dirty_depth = if is_write {
-            // A write is in-residency at every capacity that still holds the
-            // line — and re-enters the line dirty where it was evicted.
-            0
-        } else {
-            match state.by_line.get(&line) {
-                // Never written in this residency: stays clean everywhere.
-                // `u64::MAX` is absorbing, so the depth query is skipped.
-                Some(prev) if prev.dirty_depth == u64::MAX => u64::MAX,
-                // Read of a line written earlier in this residency: the
-                // dirty state survives at capacity `c` only if the line
-                // never sank to depth >= c since that write.  The current
-                // depth is the number of distinct lines touched since the
-                // line's own last access — all still resident, because this
-                // line is.
-                Some(prev) => prev.dirty_depth.max(state.depth_of(prev.seq)),
-                // (Re-)entering the list through a read: clean everywhere.
-                None => u64::MAX,
-            }
-        };
-        if let Some(old) = state.by_line.insert(line, LineState { seq, tick, dirty_depth }) {
-            state.by_seq.remove(&old.seq);
-            state.unmark(old.seq);
-        }
-        state.by_seq.insert(seq, line);
-        state.mark(seq);
-        let mut evicted = None;
-        if state.by_seq.len() as u64 > capacity {
-            if let Some((&oldest, &old_line)) = state.by_seq.iter().next() {
-                state.by_seq.remove(&oldest);
-                state.unmark(oldest);
-                state.by_line.remove(&old_line);
-                evicted = Some(old_line);
-            }
-        }
-        evicted
+        self.threads[thread].record(line, is_write, self.capacity_lines)
     }
 
     /// Walks every thread's trace of `region`, recording all its accesses.
@@ -331,12 +426,11 @@ impl MruCollector {
     /// The most recent `capacity` entries of one thread's recency list
     /// (least recent first), with the capacity-dependent dirty bit.
     fn truncate_thread(state: &ThreadMruState, capacity: u64) -> Vec<(u64, bool)> {
-        let skip = (state.by_seq.len() as u64).saturating_sub(capacity) as usize;
+        let skip = (state.live as u64).saturating_sub(capacity) as usize;
         state
-            .by_seq
-            .iter()
+            .lines()
             .skip(skip)
-            .map(|(_, &line)| {
+            .map(|line| {
                 let dirty = state.by_line.get(&line).is_some_and(|s| s.dirty_depth < capacity);
                 (line, dirty)
             })
@@ -349,9 +443,8 @@ impl MruCollector {
     fn raw_thread_state(&self, thread: usize) -> Vec<(u64, u64)> {
         let state = &self.threads[thread];
         state
-            .by_seq
-            .iter()
-            .map(|(_, &line)| {
+            .lines()
+            .map(|line| {
                 let depth = state.by_line.get(&line).map_or(u64::MAX, |s| s.dirty_depth);
                 (line, depth)
             })
@@ -592,9 +685,9 @@ pub struct MruThreadObserver {
     next: usize,
     /// Lines accessed or evicted since the last snapshotted boundary — the
     /// only lines whose interval records need closing/reopening there.
-    touched: HashSet<u64>,
+    touched: LineSet,
     /// Line -> index (into `intervals`) of its open record.
-    open: HashMap<u64, usize>,
+    open: LineMap<usize>,
     intervals: Vec<IntervalRecord>,
     /// Set by [`CheckpointObserver::restore`]: at the first boundary this
     /// segment reaches, open records for *every* resident line (there are no
@@ -619,8 +712,8 @@ impl MruThreadObserver {
             collector: MruCollector::new(1, collection_capacity),
             boundaries,
             next: 0,
-            touched: HashSet::new(),
-            open: HashMap::new(),
+            touched: LineSet::default(),
+            open: LineMap::default(),
             intervals: Vec::new(),
             resume_open_all: false,
         }
@@ -716,7 +809,7 @@ impl TraceObserver for MruThreadObserver {
             // `touched` (accesses between the restore point and this
             // boundary) is a subset of what these records already cover.
             self.touched.clear();
-            let resident: Vec<u64> = self.collector.threads[0].by_seq.values().copied().collect();
+            let resident: Vec<u64> = self.collector.threads[0].lines().collect();
             for line in resident {
                 if let Some((tick, dirty_depth)) = self.collector.residency_state(0, line) {
                     self.open.insert(line, self.intervals.len());
@@ -1065,6 +1158,7 @@ mod tests {
     use super::*;
     use bp_workload::{Benchmark, WorkloadConfig};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// The pre-Fenwick collector, kept verbatim as the oracle for the
     /// order-statistic rewrite: the dirty-depth query was an `O(depth)`
@@ -1218,24 +1312,32 @@ mod tests {
     proptest! {
         /// The Fenwick-backed dirty-depth query must agree with the old
         /// `range().count()` scan on arbitrary access streams, at every
-        /// snapshot capacity.
+        /// snapshot capacity — also when the stream, cycled past several
+        /// sequence compactions (threshold 4096), is checkpointed through
+        /// bytes and restored at an arbitrary point.
         #[test]
         fn fenwick_collector_matches_reference(
             accesses in proptest::collection::vec((0u64..32, any::<bool>()), 1..600),
             collection_capacity in 1u64..24,
             probe_capacity in 1u64..32,
+            cut in 0usize..12_000,
         ) {
-            let mut fast = MruCollector::new(1, collection_capacity);
+            let mut fast = MruThreadObserver::new(&[0], collection_capacity);
             let mut slow = ReferenceCollector::new(1, collection_capacity);
-            for &(line, write) in &accesses {
-                fast.record(0, line, write);
+            for (i, &(line, write)) in accesses.iter().cycle().take(12_000).enumerate() {
+                if i == cut {
+                    let bytes = fast.snapshot_at(0);
+                    fast = MruThreadObserver::new(&[0], collection_capacity);
+                    prop_assert!(fast.restore(0, &bytes).is_ok(), "restore at access {}", i);
+                }
+                fast.collector.record(0, line, write);
                 slow.record(0, line, write);
             }
             prop_assert_eq!(
-                fast.snapshot_at(probe_capacity).per_thread(),
+                fast.collector.snapshot_at(probe_capacity).per_thread(),
                 &slow.snapshot_at(probe_capacity)[..]
             );
-            prop_assert_eq!(fast.snapshot().per_thread(), &slow.snapshot_at(u64::MAX)[..]);
+            prop_assert_eq!(fast.collector.snapshot().per_thread(), &slow.snapshot_at(u64::MAX)[..]);
         }
     }
 
@@ -1540,6 +1642,55 @@ mod tests {
         assert!(ok.resume_open_all);
     }
 
+    /// FNV-1a digest of a sequence of checkpoint images.
+    fn digest(images: &[Vec<u8>]) -> u64 {
+        let mut hasher = bp_workload::FingerprintHasher::new();
+        for image in images {
+            hasher.write_u64(image.len() as u64);
+            hasher.write_bytes(image);
+        }
+        hasher.finish()
+    }
+
+    #[test]
+    fn mru_checkpoint_images_are_pinned() {
+        // Cached `.bpckpt` entries stay valid only while the image of a given
+        // access stream never changes, so the bytes are pinned here: after a
+        // direct-fed stream that renumbers sequences many times (20,000
+        // accesses at capacity 16 against the 4,096 compaction threshold),
+        // and at segment cuts of real walks, including a walk resumed from a
+        // restored image.
+        let mut churn = MruThreadObserver::new(&[0], 16);
+        let mut images = Vec::new();
+        for i in 0..20_000u64 {
+            let line = (i * 7) % 48 + (i / 5000) * 3;
+            churn.collector.record(0, line, i % 5 == 0);
+            if i % 4500 == 4499 {
+                images.push(churn.snapshot_at(0));
+            }
+        }
+        images.push(churn.snapshot_at(0));
+        assert_eq!(digest(&images), 0x5c15_2e5a_010a_608b, "direct-fed churn images");
+
+        let w = Benchmark::NpbCg.build(&WorkloadConfig::new(2).with_scale(0.05));
+        let regions = w.num_regions();
+        let all: Vec<usize> = (0..regions).collect();
+        let cut = regions / 2;
+        let mut images = Vec::new();
+        for thread in 0..w.num_threads() {
+            for capacity in [8u64, 64, 2048] {
+                let mut first = MruThreadObserver::new(&all, capacity);
+                bp_workload::drive_segment(&w, thread, 0, cut, &mut [&mut first]);
+                images.push(first.snapshot_at(cut));
+                let mut second = MruThreadObserver::new(&all, capacity);
+                second.restore(cut, images.last().expect("just pushed")).expect("own image");
+                bp_workload::drive_segment(&w, thread, cut, regions, &mut [&mut second]);
+                images.push(second.snapshot_at(regions));
+            }
+        }
+        assert_eq!(digest(&images), 0x17b2_ccc1_e3f7_9a3f, "segment-cut images");
+    }
+
     #[test]
     fn thread_state_from_checkpoint_validates_entries() {
         // Non-increasing sequence numbers.
@@ -1552,6 +1703,37 @@ mod tests {
         let state = ThreadMruState::from_checkpoint(4, 4, &[(2, 5, 2, 0), (4, 7, 4, 1)])
             .expect("well-formed checkpoint");
         assert_eq!(state.checkpoint(), (4, 4, vec![(2, 5, 2, 0), (4, 7, 4, 1)]));
+    }
+
+    #[test]
+    fn thread_state_from_checkpoint_rejects_unreachable_states() {
+        let ok = |next_seq, next_tick, entries: &[CheckpointEntry]| {
+            ThreadMruState::from_checkpoint(next_seq, next_tick, entries).is_ok()
+        };
+        // Counters no walk reaches: without the compaction bound these would
+        // size the slot vector (u64::MAX also overflowed the old sizing).
+        assert!(!ok(u64::MAX, 1, &[(u64::MAX, 5, 1, 0)]));
+        assert!(!ok(1 << 40, 1, &[(1 << 40, 5, 1, 0)]));
+        // The bound is exact: 4097 sequences with one live line is where an
+        // uncompacted walk stands before its next access compacts it.
+        assert!(ok(4097, 4097, &[(4097, 5, 4097, 0)]));
+        assert!(!ok(4098, 4098, &[(4098, 5, 4098, 0)]));
+        // With 600 live lines the bound is 8 * 601 sequences.
+        let wide = |next_seq: u64| -> Vec<CheckpointEntry> {
+            (1..=600).map(|i| (if i == 600 { next_seq } else { 8 * i }, i, 8400 + i, 0)).collect()
+        };
+        assert!(ok(8 * 601, 9000, &wide(8 * 601)));
+        assert!(!ok(8 * 601 + 1, 9000, &wide(8 * 601 + 1)));
+        // The newest residency must hold both counters.
+        assert!(!ok(5, 5, &[(4, 5, 4, 0)]));
+        assert!(!ok(4, 5, &[(4, 5, 4, 0)]));
+        assert!(!ok(3, 3, &[]));
+        assert!(ok(0, 0, &[]));
+        // Ticks must increase with sequences.
+        assert!(!ok(4, 4, &[(2, 5, 4, 0), (4, 7, 4, 0)]));
+        // A dirty depth at or past the live count.
+        assert!(!ok(4, 4, &[(2, 5, 2, 2), (4, 7, 4, 0)]));
+        assert!(ok(4, 4, &[(2, 5, 2, u64::MAX), (4, 7, 4, 0)]));
     }
 
     proptest! {

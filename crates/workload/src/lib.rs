@@ -52,6 +52,7 @@
 mod access;
 mod block;
 pub mod kernels;
+mod line_hash;
 mod observer;
 mod phase;
 mod region;
@@ -61,6 +62,7 @@ mod workload;
 pub use access::{AccessKind, MemoryAccess, CACHE_LINE_BYTES};
 pub use block::{BasicBlock, BasicBlockId, BlockTable};
 pub use kernels::suite::Benchmark;
+pub use line_hash::{LineHasher, LineMap, LineSet};
 pub use observer::{drive, drive_segment, CheckpointError, CheckpointObserver, TraceObserver};
 pub use phase::{AccessPattern, Phase, PhaseBlock, PhaseId, ScheduleEntry};
 pub use region::{BlockExecution, RegionTrace};
