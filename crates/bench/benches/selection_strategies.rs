@@ -5,8 +5,9 @@
 //! * **strategy-axis sweep** — one `Sweep::run` over two selection
 //!   strategies (the paper's SimPoint pipeline and the two-phase stratified
 //!   backend) sharing one machine config: cold it must profile once and
-//!   walk each per-thread trace exactly once for the whole strategy grid;
-//!   warm (in-process `ArtifactCache`) it must execute **zero** profile
+//!   walk each per-thread trace exactly once for the whole strategy grid
+//!   and simulate each selected barrierpoint once, however many strategies
+//!   picked it; warm (in-process `ArtifactCache`) it must execute **zero** profile
 //!   walks and zero simulate legs — both pinned by CI smoke assertions;
 //! * **accuracy harness** — the [`bp_bench::selection_strategies`]
 //!   experiment: per strategy, per kernel, per region budget, the IPC and
@@ -72,6 +73,17 @@ fn bench_selection_strategies(_c: &mut Criterion) {
         assert_eq!(counters.clustering_passes, 2, "one clustering pass per strategy");
         assert_eq!(counters.warmup_collections, 1);
         assert_eq!(report.legs().len(), 2);
+        // CI smoke assertion: the strategies share their barrierpoints'
+        // detailed simulations — one per distinct region on the one machine.
+        let mut union: Vec<usize> =
+            report.selections().iter().flat_map(|s| s.selection().barrierpoint_regions()).collect();
+        union.sort_unstable();
+        union.dedup();
+        assert_eq!(
+            counters.barrierpoint_simulations,
+            union.len(),
+            "each shared barrierpoint must simulate once per machine"
+        );
     });
     println!("selection/cold_two_strategy_sweep {cold:>40.2?}");
 

@@ -236,6 +236,7 @@ pub fn profile_and_collect_warmup_checkpointed<W: Workload + ?Sized>(
             }
             from = cut;
         }
+        mru.seal();
         (profiler.into_profile(), mru, ThreadCheckpoints { cuts: taken })
     };
     let threads = workload.num_threads();
@@ -295,6 +296,11 @@ fn run_segment_job<W: Workload + ?Sized>(
         observers.push(mru);
     }
     bp_workload::drive_segment(workload, thread, from, until, &mut observers);
+    // Sealed now, not at stitch time: the recency state is dead weight
+    // while the other segment jobs are still walking.
+    if let Some(mru) = mru.as_mut() {
+        mru.seal();
+    }
     Ok((profiler.map(ThreadProfileObserver::into_profile), mru))
 }
 

@@ -1,6 +1,6 @@
 use crate::error::Error;
 use crate::select::BarrierPointSelection;
-use bp_exec::{ExecutionPolicy, WorkerBudget};
+use bp_exec::ExecutionPolicy;
 use bp_sim::{Machine, RegionMetrics, SimConfig};
 use bp_warmup::{apply_warmup, collect_mru_warmup_with, MruWarmupData, WarmupStrategy};
 use bp_workload::Workload;
@@ -58,26 +58,56 @@ pub fn simulate_barrierpoints<W: Workload + ?Sized>(
     warmup: WarmupKind,
     policy: &ExecutionPolicy,
 ) -> Result<BarrierPointMetrics, Error> {
-    simulate_barrierpoints_impl(workload, selection, sim_config, warmup, policy, None, None)
+    check_machine(workload, selection, sim_config)?;
+    Ok(simulate_barrierpoints_impl(workload, selection, sim_config, warmup, policy, None))
 }
 
-/// [`simulate_barrierpoints`] with an optional shared [`WorkerBudget`] (a
-/// design-space sweep passes one budget to every concurrent leg, so workers
-/// idled by a drained leg immediately help the busy ones) and an optionally
-/// precollected MRU warmup payload, so legs with the same workload and LLC
-/// capacity share one whole-trace collection pass.  The payload must have
-/// been collected from `workload` at
-/// `sim_config.memory.llc_total_lines(num_cores)` for the selection's
-/// barrierpoint regions.
+/// [`simulate_barrierpoints`] with an optionally precollected MRU warmup
+/// payload (a leg served from the fused profiling walk's snapshot bank
+/// skips its own collection pass).  The payload must have been collected
+/// from `workload` at `sim_config.memory.llc_total_lines(num_cores)` for the
+/// selection's barrierpoint regions, and the leg must have passed
+/// [`check_machine`].
 pub(crate) fn simulate_barrierpoints_impl<W: Workload + ?Sized>(
     workload: &W,
     selection: &BarrierPointSelection,
     sim_config: &SimConfig,
     warmup: WarmupKind,
     policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
     precollected_mru: Option<&HashMap<usize, MruWarmupData>>,
-) -> Result<BarrierPointMetrics, Error> {
+) -> BarrierPointMetrics {
+    let regions = selection.barrierpoint_regions();
+
+    // One streaming pass collects the MRU warmup payload for every target
+    // (unless the caller already holds it); it fans out thread-major under
+    // the same policy as the simulations.
+    let collected;
+    let mru_data = match (warmup, precollected_mru) {
+        (WarmupKind::MruReplay, Some(data)) => Some(data),
+        (WarmupKind::MruReplay, None) => {
+            let capacity = sim_config.memory.llc_total_lines(sim_config.num_cores);
+            collected = collect_mru_warmup_with(workload, &regions, capacity, policy);
+            Some(&collected)
+        }
+        _ => None,
+    };
+
+    let per_region = policy.execute(regions.len(), |i| {
+        let region = regions[i];
+        let payload = mru_data.and_then(|data| data.get(&region));
+        (region, simulate_region(workload, sim_config, warmup, region, payload))
+    });
+    per_region.into_iter().collect()
+}
+
+/// The checks every leg passes before any of its barrierpoints simulates:
+/// the machine has one core per workload thread, and every selected region
+/// exists in the workload.
+pub(crate) fn check_machine<W: Workload + ?Sized>(
+    workload: &W,
+    selection: &BarrierPointSelection,
+    sim_config: &SimConfig,
+) -> Result<(), Error> {
     if workload.num_threads() != sim_config.num_cores {
         return Err(Error::ThreadCountMismatch {
             workload_threads: workload.num_threads(),
@@ -88,49 +118,42 @@ pub(crate) fn simulate_barrierpoints_impl<W: Workload + ?Sized>(
     if let Some(&bad) = regions.iter().find(|&&r| r >= workload.num_regions()) {
         return Err(Error::RegionOutOfRange { region: bad, num_regions: workload.num_regions() });
     }
+    Ok(())
+}
 
-    // One streaming pass collects the MRU warmup payload for every target
-    // (unless a sweep already collected it); it fans out thread-major under
-    // the same policy as the simulations.
-    let collected;
-    let mru_data: &HashMap<usize, MruWarmupData> = match (warmup, precollected_mru) {
-        (WarmupKind::MruReplay, Some(data)) => data,
-        (WarmupKind::MruReplay, None) => {
-            let capacity = sim_config.memory.llc_total_lines(sim_config.num_cores);
-            collected = collect_mru_warmup_with(workload, &regions, capacity, policy);
-            &collected
-        }
-        _ => {
-            collected = HashMap::new();
-            &collected
-        }
+/// Simulates one barrierpoint in detail: a fresh machine, warmed with
+/// `warmup`, runs `region` of `workload`.
+///
+/// This is the one per-barrierpoint routine; both a single leg
+/// ([`simulate_barrierpoints`]) and a [`Sweep`](crate::Sweep) — which runs
+/// each distinct (machine, region) pair once for all legs that select it —
+/// call it, so a region's metrics never depend on which leg asked for them.
+/// `payload` is the region's MRU warmup data and must be present for
+/// [`WarmupKind::MruReplay`]; the other kinds ignore it.
+///
+/// # Panics
+///
+/// Panics if `warmup` is [`WarmupKind::MruReplay`] and `payload` is `None`.
+pub(crate) fn simulate_region<W: Workload + ?Sized>(
+    workload: &W,
+    sim_config: &SimConfig,
+    warmup: WarmupKind,
+    region: usize,
+    payload: Option<&MruWarmupData>,
+) -> RegionMetrics {
+    let mut machine = Machine::new(sim_config);
+    let strategy = match warmup {
+        WarmupKind::Cold => WarmupStrategy::Cold,
+        WarmupKind::FunctionalReplay => WarmupStrategy::FunctionalReplay { region },
+        WarmupKind::MruReplay => match payload {
+            Some(data) => WarmupStrategy::MruReplay(data.clone()),
+            // Every caller collects warmup for exactly the barrierpoint
+            // regions it simulates.
+            None => unreachable!("no warmup collected for barrierpoint region {region}"),
+        },
     };
-
-    let simulate_one = |region: usize| -> (usize, RegionMetrics) {
-        let mut machine = Machine::new(sim_config);
-        let strategy = match warmup {
-            WarmupKind::Cold => WarmupStrategy::Cold,
-            WarmupKind::FunctionalReplay => WarmupStrategy::FunctionalReplay { region },
-            WarmupKind::MruReplay => match mru_data.get(&region).cloned() {
-                Some(data) => WarmupStrategy::MruReplay(data),
-                // The warmup collection pass above covers exactly the
-                // barrierpoint regions being simulated here.
-                None => unreachable!("no warmup collected for barrierpoint region {region}"),
-            },
-        };
-        apply_warmup(machine.hierarchy_mut(), workload, &strategy);
-        (region, machine.run_region(workload, region))
-    };
-
-    let mut results = BTreeMap::new();
-    let per_region = match budget {
-        Some(budget) => {
-            policy.execute_budgeted(regions.len(), budget, |i| simulate_one(regions[i]))
-        }
-        None => policy.execute(regions.len(), |i| simulate_one(regions[i])),
-    };
-    results.extend(per_region);
-    Ok(results)
+    apply_warmup(machine.hierarchy_mut(), workload, &strategy);
+    machine.run_region(workload, region)
 }
 
 #[cfg(test)]

@@ -28,7 +28,6 @@ use crate::profile::ApplicationProfile;
 use crate::reconstruct::{reconstruct, ReconstructedRun};
 use crate::select::{select_barrierpoints_with, BarrierPointSelection};
 use crate::simulate::{BarrierPointMetrics, WarmupKind};
-use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_sim::SimConfig;
 use bp_warmup::MruSnapshotBank;
 use bp_workload::Workload;
@@ -229,6 +228,7 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
         workload: &V,
         sim_config: &SimConfig,
     ) -> Result<Arc<Simulated>, Error> {
+        let compute = || self.compute_leg(workload, sim_config).map(Arc::new);
         match self.pipeline.cache() {
             Some(cache) => {
                 let key = SimulatedCacheKey::new(
@@ -237,31 +237,31 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
                     sim_config,
                     self.pipeline.warmup(),
                 );
-                let (simulated, _was_cached) = cache.load_or_simulate(&key, || {
-                    let payload = self.fused_payload(workload, sim_config);
-                    self.simulate_on_with(
-                        workload,
-                        sim_config,
-                        self.pipeline.execution_policy(),
-                        None,
-                        payload.as_ref(),
-                    )
-                    .map(Arc::new)
-                })?;
-                Ok(simulated)
+                Ok(cache.load_or_simulate(&key, compute)?.0)
             }
-            None => {
-                let payload = self.fused_payload(workload, sim_config);
-                self.simulate_on_with(
-                    workload,
-                    sim_config,
-                    self.pipeline.execution_policy(),
-                    None,
-                    payload.as_ref(),
-                )
-                .map(Arc::new)
-            }
+            None => compute(),
         }
+    }
+
+    /// The uncached compute path of one leg: check it, take its warmup from
+    /// the fused bank when the bank applies, simulate every barrierpoint
+    /// under the pipeline's execution policy, and reconstruct.
+    fn compute_leg<V: Workload + ?Sized>(
+        &self,
+        workload: &V,
+        sim_config: &SimConfig,
+    ) -> Result<Simulated, Error> {
+        check_leg(&self.selection, workload, sim_config)?;
+        let payload = self.fused_payload(workload, sim_config);
+        let metrics = crate::simulate::simulate_barrierpoints_impl(
+            workload,
+            &self.selection,
+            sim_config,
+            self.pipeline.warmup(),
+            self.pipeline.execution_policy(),
+            payload.as_ref(),
+        );
+        assemble_leg(&self.selection, self.pipeline.warmup(), workload.name(), sim_config, metrics)
     }
 
     /// The warmup payload this leg can serve from the fused profiling walk's
@@ -297,72 +297,43 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
         SimulatedCacheKey::new(workload, &self.selection, sim_config, self.pipeline.warmup())
     }
 
-    /// The uncached compute path of one leg, under an explicit execution
-    /// policy, an optional shared [`WorkerBudget`] (so concurrent sweep legs
-    /// steal idle workers from each other instead of splitting the machine
-    /// statically) and an optionally precollected MRU warmup payload (so
-    /// legs sharing a workload and LLC capacity share one collection pass).
-    /// [`Sweep`](crate::Sweep) drives this directly — it probes the
-    /// simulated-leg cache up front, before deciding what to collect and
-    /// simulate.
-    pub(crate) fn simulate_on_with<V: Workload + ?Sized>(
-        &self,
-        workload: &V,
-        sim_config: &SimConfig,
-        policy: &ExecutionPolicy,
-        budget: Option<&WorkerBudget>,
-        precollected_mru: Option<&std::collections::HashMap<usize, bp_warmup::MruWarmupData>>,
-    ) -> Result<Simulated, Error> {
-        compute_leg(
-            &self.selection,
-            self.pipeline.warmup(),
-            workload,
-            sim_config,
-            policy,
-            budget,
-            precollected_mru,
-        )
-    }
-
     pub(crate) fn into_parts(self) -> (Arc<ApplicationProfile>, Arc<BarrierPointSelection>) {
         (self.profile, self.selection)
     }
 }
 
-/// The uncached compute path of one design-point leg, detached from the
-/// staged chain: simulate `selection`'s barrierpoints of `workload` on
-/// `sim_config` (optionally from a shared [`WorkerBudget`] and a
-/// precollected MRU warmup payload) and reconstruct the whole-application
-/// estimate.  [`Sweep`](crate::Sweep) drives this directly — it resolves the
-/// selection without materializing a [`Selected`] stage (a sweep whose
-/// selection is cached never needs the profile at all).
-pub(crate) fn compute_leg<V: Workload + ?Sized>(
+/// The checks every design-point leg passes before any of its
+/// barrierpoints simulates, in the order their errors surface: the workload
+/// has the selection's region structure, the machine has one core per
+/// workload thread, and every selected region exists.
+pub(crate) fn check_leg<V: Workload + ?Sized>(
     selection: &BarrierPointSelection,
-    warmup: WarmupKind,
     workload: &V,
     sim_config: &SimConfig,
-    policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
-    precollected_mru: Option<&std::collections::HashMap<usize, bp_warmup::MruWarmupData>>,
-) -> Result<Simulated, Error> {
+) -> Result<(), Error> {
     if workload.num_regions() != selection.num_regions() {
         return Err(Error::RegionCountMismatch {
             expected: selection.num_regions(),
             actual: workload.num_regions(),
         });
     }
-    let metrics = crate::simulate::simulate_barrierpoints_impl(
-        workload,
-        selection,
-        sim_config,
-        warmup,
-        policy,
-        budget,
-        precollected_mru,
-    )?;
+    crate::simulate::check_machine(workload, selection, sim_config)
+}
+
+/// Builds one leg's [`Simulated`] artifact from its barrierpoints' metrics:
+/// reconstructs the whole-application estimate of `selection` on
+/// `sim_config`.  [`Sweep`](crate::Sweep) calls this for every leg whose
+/// metrics it gathered from the shared per-machine region simulations.
+pub(crate) fn assemble_leg(
+    selection: &BarrierPointSelection,
+    warmup: WarmupKind,
+    workload_name: &str,
+    sim_config: &SimConfig,
+    metrics: BarrierPointMetrics,
+) -> Result<Simulated, Error> {
     let reconstruction = reconstruct(selection, &metrics, sim_config.core.frequency_ghz)?;
     Ok(Simulated {
-        workload_name: workload.name().to_string(),
+        workload_name: workload_name.to_string(),
         sim_config: *sim_config,
         warmup,
         metrics,

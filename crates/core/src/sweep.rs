@@ -10,10 +10,14 @@
 //! and the MRU warmup collector from one trace generation, and legs
 //! differing in LLC capacity share that same walk (collection at the
 //! largest capacity, truncation for the rest) — runs the clustering stage
-//! **once**, and fans the N simulate+reconstruct legs out through
-//! [`ExecutionPolicy`] with one shared [`WorkerBudget`] — workers that
-//! drain a small leg steal barrierpoint jobs from the big ones.  The
-//! result is a [`SweepReport`] keyed by configuration, carrying
+//! **once**, and simulates each distinct barrierpoint of each distinct
+//! machine **once**: the missing legs' selected regions are unioned per
+//! machine (leg workload content plus machine configuration) and fanned out
+//! as one flat (machine, barrierpoint) job list through [`ExecutionPolicy`]
+//! on one shared [`WorkerBudget`], every barrierpoint on its own freshly
+//! warmed machine.  Each leg then reads its selection's subset of its
+//! machine's results and reconstructs.  The result is a [`SweepReport`]
+//! keyed by configuration, carrying
 //! [`SweepCounters`] so callers (and tests) can verify each stage really
 //! ran at most that often ([`SweepCounters::trace_walks`] pins the
 //! single-walk economy) — and, with an
@@ -32,10 +36,14 @@
 //! Selection strategies are a sweep axis too ([`Sweep::add_strategy`]):
 //! the grid becomes strategies × machine configurations, still over **one**
 //! profile and one fused warmup walk — each strategy's selection is resolved
-//! (or cache-served) from the shared profile, dedicated warmup collections
-//! cover the *union* of every strategy's barrierpoints, and legs whose
-//! strategies happen to pick identical barrierpoints dedupe by content
-//! exactly like duplicate machine configurations do.
+//! (or cache-served) from the shared profile, warmup collections cover the
+//! *union* of the uncached legs' barrierpoints, and legs whose strategies
+//! happen to pick identical barrierpoints dedupe by content exactly like
+//! duplicate machine configurations do.  Strategies whose selections merely
+//! *overlap* share the detailed simulation of every common barrierpoint —
+//! barrierpoints are mutually independent, so a region's metrics on one
+//! machine are the same whichever leg selected it
+//! ([`SweepCounters::barrierpoint_simulations`] counts the distinct ones).
 //!
 //! ```
 //! use barrierpoint::Sweep;
@@ -66,16 +74,16 @@ use crate::error::Error;
 use crate::pipeline::BarrierPoint;
 use crate::segment::DEFAULT_SEGMENTS;
 use crate::select::{select_barrierpoints_with, BarrierPointSelection};
-use crate::simulate::WarmupKind;
-use crate::stages::Simulated;
+use crate::simulate::{simulate_region, BarrierPointMetrics, WarmupKind};
+use crate::stages::{assemble_leg, check_leg, Simulated};
 use bp_clustering::{SelectionStrategy, SimPointConfig};
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_signature::SignatureConfig;
-use bp_sim::SimConfig;
+use bp_sim::{RegionMetrics, SimConfig};
 use bp_warmup::{MruSnapshotBank, MruWarmupData};
 use bp_workload::Workload;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
 /// One design point of a sweep: a label, a machine configuration, and
@@ -230,20 +238,20 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
 
     /// Selects how the sweep executes.  Under
     /// [`ExecutionPolicy::Parallel`] the profiling pass fans out
-    /// thread-major and the simulation legs fan out config-major, all legs
-    /// drawing helper threads from **one shared [`WorkerBudget`]**: a worker
-    /// that drains a small leg immediately starts stealing barrierpoint
-    /// jobs from the legs still running, so imbalanced design points (say,
-    /// one 32-core cross-point among 8-core points) never strand cores.
-    /// Results are identical under every policy and schedule.
+    /// thread-major and the detailed simulations fan out as one flat
+    /// (machine, barrierpoint) job list, both drawing helper threads from
+    /// **one shared [`WorkerBudget`]**: no worker idles behind a small leg
+    /// while imbalanced design points (say, one 32-core cross-point among
+    /// 8-core points) still have barrierpoints left.  Results are identical
+    /// under every policy and schedule.
     pub fn with_execution_policy(mut self, policy: ExecutionPolicy) -> Self {
         self.base = self.base.with_execution_policy(policy);
         self
     }
 
-    /// Supplies the [`WorkerBudget`] the sweep's two scheduling levels draw
-    /// helper threads from, instead of deriving one from the execution
-    /// policy.  Useful to share one budget across several concurrent sweeps
+    /// Supplies the [`WorkerBudget`] the sweep's trace walks and
+    /// barrierpoint simulations draw helper threads from, instead of
+    /// deriving one from the execution policy.  Useful to share one budget across several concurrent sweeps
     /// — and to read [`WorkerBudget::steal_count`] afterwards, which the
     /// sweep bench records.
     pub fn with_shared_budget(mut self, budget: WorkerBudget) -> Self {
@@ -301,8 +309,10 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     /// Runs the sweep: at most one fused profiling+warmup trace walk per
     /// thread, one clustering pass per strategy-axis entry (all from the
     /// one shared profile), at most one MRU warmup collection per workload
-    /// *content*, then every design-point leg that is not already
-    /// in the artifact cache — all through the cache when one is attached,
+    /// *content*, one detailed simulation per distinct (machine,
+    /// barrierpoint) pair, then the reconstruction of every design-point
+    /// leg that is not already in the artifact cache — all through the
+    /// cache when one is attached,
     /// making repeated sweeps over overlapping configuration matrices fully
     /// incremental (a warm re-sweep executes **zero** simulate legs and
     /// **zero** trace walks).
@@ -556,41 +566,96 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             None => missing = (0..unique.len()).collect(),
         }
 
-        // Collect the MRU warmup payloads the missing distinct legs need —
-        // at most one streaming pass per workload *content*: legs that
-        // differ only in core parameters (clock, ROB, …) trivially share a
-        // payload, and legs that differ in LLC capacity share the same pass
-        // too (collection at the largest capacity, smaller capacities by
-        // truncation).  Legs content-identical to the base workload are
-        // served straight from the fused bank when the fused pass ran — no
-        // further walk at all.
-        let mut warmup_payloads: Vec<((u64, u64), HashMap<usize, MruWarmupData>)> = Vec::new();
-        if warmup == WarmupKind::MruReplay && !missing.is_empty() {
-            // One collection covers the *union* of every strategy's
-            // barrierpoints: payloads are keyed by region index, so each
-            // leg reads exactly its own selection's subset.
-            let mut regions: Vec<usize> =
-                selections.iter().flat_map(|selection| selection.barrierpoint_regions()).collect();
-            regions.sort_unstable();
-            regions.dedup();
-            let mut groups: Vec<(u64, Option<&dyn Workload>, Vec<u64>)> = Vec::new();
-            for &u in &missing {
-                let rep = unique[u].0;
-                let parts = &statics.points[rep % num_points];
-                match groups.iter_mut().find(|(fp, _, _)| *fp == parts.workload_fingerprint) {
-                    Some((_, _, capacities)) => {
-                        if !capacities.contains(&parts.llc_capacity) {
-                            capacities.push(parts.llc_capacity);
-                        }
-                    }
-                    None => groups.push((
-                        parts.workload_fingerprint,
-                        self.points[rep % num_points].workload,
-                        vec![parts.llc_capacity],
-                    )),
-                }
+        // Every missing distinct leg passes its checks before any warmup
+        // walk or simulation is spent on it; the first failure surfaces in
+        // leg order.
+        for &u in &missing {
+            let rep = unique[u].0;
+            let point = &self.points[rep % num_points];
+            let selection = &selections[rep / num_points];
+            match point.workload {
+                Some(leg_workload) => check_leg(selection, leg_workload, &point.sim_config)?,
+                None => check_leg(selection, workload, &point.sim_config)?,
             }
-            for (workload_fp, leg_workload, capacities) in groups {
+        }
+
+        // The distinct machines the missing legs simulate on, each with the
+        // union of those legs' barrierpoint regions.  Machines are keyed by
+        // the same parts as the leg key minus the selection — leg workload
+        // content and `(SimConfig, WarmupKind)` fingerprint — so every
+        // strategy (and every content-identical design point) asking one
+        // machine for one region shares a single detailed simulation: a
+        // barrierpoint's metrics depend only on the machine, the workload
+        // and the region, never on which leg selected it.
+        let mut machines: Vec<MachineJobs> = Vec::new();
+        let mut leg_machine = Vec::with_capacity(missing.len());
+        for &u in &missing {
+            let rep = unique[u].0;
+            let parts = &statics.points[rep % num_points];
+            let key = (parts.workload_fingerprint, parts.config_fingerprint);
+            let m = match machines.iter().position(|m| m.key == key) {
+                Some(m) => m,
+                None => {
+                    machines.push(MachineJobs {
+                        key,
+                        point: rep % num_points,
+                        regions: Vec::new(),
+                    });
+                    machines.len() - 1
+                }
+            };
+            machines[m].regions.extend(selections[rep / num_points].barrierpoint_regions());
+            leg_machine.push(m);
+        }
+        for machine in &mut machines {
+            machine.regions.sort_unstable();
+            machine.regions.dedup();
+        }
+
+        // Collect the MRU warmup payloads those machines need — at most one
+        // streaming pass per workload *content*: machines that differ only
+        // in core parameters (clock, ROB, …) trivially share a payload, and
+        // machines that differ in LLC capacity share the same pass too
+        // (collection at the largest capacity, smaller capacities by
+        // truncation).  A collection covers only the regions of the legs
+        // that actually miss — payloads are keyed by region, so each leg
+        // reads exactly its own selection's subset, and a dedicated walk
+        // stops at the last boundary still needed.  Machines
+        // content-identical to the base workload are served straight from
+        // the fused bank when the fused pass ran — no further walk at all.
+        let mut warmup_payloads: Vec<((u64, u64), HashMap<usize, MruWarmupData>)> = Vec::new();
+        if warmup == WarmupKind::MruReplay {
+            let mut groups: Vec<WarmupGroup<'_>> = Vec::new();
+            for machine in &machines {
+                let parts = &statics.points[machine.point];
+                let g =
+                    match groups.iter().position(|g| g.fingerprint == parts.workload_fingerprint) {
+                        Some(g) => g,
+                        None => {
+                            groups.push(WarmupGroup {
+                                fingerprint: parts.workload_fingerprint,
+                                workload: self.points[machine.point].workload,
+                                capacities: Vec::new(),
+                                regions: Vec::new(),
+                            });
+                            groups.len() - 1
+                        }
+                    };
+                let group = &mut groups[g];
+                if !group.capacities.contains(&parts.llc_capacity) {
+                    group.capacities.push(parts.llc_capacity);
+                }
+                group.regions.extend_from_slice(&machine.regions);
+            }
+            for WarmupGroup {
+                fingerprint: workload_fp,
+                workload: leg_workload,
+                capacities,
+                mut regions,
+            } in groups
+            {
+                regions.sort_unstable();
+                regions.dedup();
                 if workload_fp == base_fp {
                     if let Some(bank) = &fused_bank {
                         for capacity in capacities {
@@ -629,8 +694,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                     }
                 }
                 // A dedicated collection pass, thread-major from the shared
-                // budget (a cold cross-core-count leg's collection borrows
-                // workers idled by drained legs, and vice versa).
+                // budget.
                 let mut per_capacity = match leg_workload {
                     Some(leg_workload) => {
                         trace_walks += leg_workload.num_threads();
@@ -662,44 +726,63 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             }
         }
 
-        // The distinct missing legs fan out config-major; outer leg workers
-        // and the per-barrierpoint workers inside every leg draw helpers
-        // from the one shared budget, so a drained leg's workers migrate
-        // into the legs still running.  Results are identical under every
-        // schedule (the execution-equivalence invariant: reassembly is by
-        // index).
-        let computed: Vec<Result<Simulated, Error>> =
-            policy.execute_budgeted(missing.len(), &budget, |j| {
-                let rep = unique[missing[j]].0;
-                let point = &self.points[rep % num_points];
-                let parts = &statics.points[rep % num_points];
-                let selection = &selections[rep / num_points];
-                let sharing = (parts.workload_fingerprint, parts.llc_capacity);
-                let payload = warmup_payloads.iter().find(|(k, _)| *k == sharing).map(|(_, d)| d);
+        // One flat (machine, region) job list on the shared budget: each
+        // distinct barrierpoint of each distinct machine simulates exactly
+        // once, on its own freshly warmed machine.  Results are identical
+        // under every schedule (reassembly is by index).
+        let jobs: Vec<(usize, usize)> = machines
+            .iter()
+            .enumerate()
+            .flat_map(|(m, machine)| machine.regions.iter().map(move |&region| (m, region)))
+            .collect();
+        let region_metrics: Vec<RegionMetrics> = {
+            let payloads: Vec<Option<&HashMap<usize, MruWarmupData>>> = machines
+                .iter()
+                .map(|machine| {
+                    let parts = &statics.points[machine.point];
+                    let sharing = (parts.workload_fingerprint, parts.llc_capacity);
+                    warmup_payloads.iter().find(|(k, _)| *k == sharing).map(|(_, data)| data)
+                })
+                .collect();
+            policy.execute_budgeted(jobs.len(), &budget, |j| {
+                let (m, region) = jobs[j];
+                let point = &self.points[machines[m].point];
+                let payload = payloads[m].and_then(|data| data.get(&region));
                 match point.workload {
-                    Some(leg_workload) => crate::stages::compute_leg(
-                        selection,
-                        warmup,
-                        leg_workload,
-                        &point.sim_config,
-                        &policy,
-                        Some(&budget),
-                        payload,
-                    ),
-                    None => crate::stages::compute_leg(
-                        selection,
-                        warmup,
-                        workload,
-                        &point.sim_config,
-                        &policy,
-                        Some(&budget),
-                        payload,
-                    ),
+                    Some(leg_workload) => {
+                        simulate_region(leg_workload, &point.sim_config, warmup, region, payload)
+                    }
+                    None => simulate_region(workload, &point.sim_config, warmup, region, payload),
                 }
-            });
-        for (&u, result) in missing.iter().zip(computed) {
-            let simulated = Arc::new(result?);
+            })
+        };
+        // The payloads are the run's largest transient state; the legs below
+        // no longer need them.
+        drop(warmup_payloads);
+        let mut per_machine: Vec<BarrierPointMetrics> = vec![BTreeMap::new(); machines.len()];
+        for (&(m, region), metrics) in jobs.iter().zip(region_metrics) {
+            per_machine[m].insert(region, metrics);
+        }
+
+        // Each missing leg reads its selection's subset of its machine's
+        // region metrics (the machine's regions are the union of its legs')
+        // and reconstructs; every leg is stored on its own.
+        for (&u, &m) in missing.iter().zip(&leg_machine) {
             let (rep, indices) = &unique[u];
+            let point = &self.points[rep % num_points];
+            let selection = &selections[rep / num_points];
+            let metrics: BarrierPointMetrics = selection
+                .barrierpoint_regions()
+                .into_iter()
+                .map(|region| (region, per_machine[m][&region].clone()))
+                .collect();
+            let simulated = Arc::new(assemble_leg(
+                selection,
+                warmup,
+                &statics.points[rep % num_points].workload_name,
+                &point.sim_config,
+                metrics,
+            )?);
             if let Some(cache) = self.base.cache() {
                 cache.store_simulated_arc(&keys[*rep], &simulated)?;
             }
@@ -725,6 +808,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             clustering_passes,
             warmup_collections,
             simulate_legs: missing.len(),
+            barrierpoint_simulations: jobs.len(),
             simulated_cache_hits,
             trace_walks,
             segment_walks,
@@ -828,6 +912,27 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     }
 }
 
+/// One distinct machine of a run's missing legs: the region jobs it
+/// simulates for all of them.
+struct MachineJobs {
+    /// `(leg workload fingerprint, config fingerprint)`.
+    key: (u64, u64),
+    /// The first design point (index into `Sweep::points`) on this machine.
+    point: usize,
+    /// Union of the machine's missing legs' barrierpoint regions, ascending.
+    regions: Vec<usize>,
+}
+
+/// The machines sharing one MRU warmup collection: same workload content,
+/// any LLC capacities.
+struct WarmupGroup<'a> {
+    fingerprint: u64,
+    /// The design point's own workload, `None` for the sweep's base.
+    workload: Option<&'a dyn Workload>,
+    capacities: Vec<u64>,
+    regions: Vec<usize>,
+}
+
 /// The distinct LLC line capacities of the design points whose workload is
 /// content-identical to the base — what a fused cold pass must cover.  It is
 /// computed *before* the leg probes (the selection fingerprint those probes
@@ -874,6 +979,14 @@ pub struct SweepCounters {
     /// result.  Cached legs load from the cache instead and are counted in
     /// [`simulated_cache_hits`](Self::simulated_cache_hits).
     pub simulate_legs: usize,
+    /// Detailed barrierpoint simulations executed: one per distinct
+    /// `(machine, region)` pair among the [`simulate_legs`](Self::simulate_legs)
+    /// — the union of their selected regions for each distinct machine
+    /// (leg workload content plus machine configuration).  Strategies whose
+    /// selections overlap share those simulations, so this is below the
+    /// sum of the legs' barrierpoint counts whenever two legs on one
+    /// machine select a common region.  Zero on a fully cached sweep.
+    pub barrierpoint_simulations: usize,
     /// Design points whose simulated leg was served from the artifact
     /// cache (duplicates of a cached leg included; the physical probe
     /// happens once per distinct leg — see
@@ -1088,6 +1201,8 @@ mod tests {
                 clustering_passes: 1,
                 warmup_collections: 1,
                 simulate_legs: 2,
+                // Two machines (the clocks differ), one shared selection.
+                barrierpoint_simulations: 2 * report.selection().num_barrierpoints(),
                 simulated_cache_hits: 0,
                 trace_walks: 2,
                 segment_walks: 0,
@@ -1357,6 +1472,64 @@ mod tests {
             report.get("a/base").unwrap().simulated(),
             report.get("b/base").unwrap().simulated()
         );
+    }
+
+    /// Strategies whose selections overlap share their barrierpoints'
+    /// detailed simulations: the sweep simulates each distinct (machine,
+    /// region) pair once, so `barrierpoint_simulations` is the per-machine
+    /// union of the missing legs' regions — strictly below the legs' summed
+    /// barrierpoint counts — and zero once every leg is cached.
+    #[test]
+    fn overlapping_strategies_simulate_each_barrierpoint_once_per_machine() {
+        use bp_clustering::{SimPointStrategy, TwoPhaseStratified};
+        let dir =
+            std::env::temp_dir().join(format!("bp-sweep-bp-sharing-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let w = workload(2);
+        let base = SimConfig::scaled(2);
+        let mut small_llc = base;
+        small_llc.memory.l3.size_bytes /= 2;
+        let cache = ArtifactCache::new(&dir);
+        let sweep = || {
+            Sweep::new(&w)
+                .with_cache(cache.clone())
+                .add_strategy("simpoint", Arc::new(SimPointStrategy::new(SimPointConfig::paper())))
+                .add_strategy("stratified-2", Arc::new(TwoPhaseStratified::with_budget(2)))
+                .add_strategy("stratified-4", Arc::new(TwoPhaseStratified::with_budget(4)))
+                .add_config("base", base)
+                .add_config("small-llc", small_llc)
+        };
+        let cold = sweep().run().unwrap();
+        let counters = cold.counters();
+        assert_eq!(counters.simulate_legs, 6, "three distinct selections on two machines");
+
+        let mut union: Vec<usize> =
+            cold.selections().iter().flat_map(|s| s.selection().barrierpoint_regions()).collect();
+        union.sort_unstable();
+        union.dedup();
+        let per_leg: usize = cold.legs().iter().map(|leg| leg.simulated().metrics().len()).sum();
+        assert_eq!(counters.barrierpoint_simulations, 2 * union.len(), "per-machine union");
+        assert!(
+            counters.barrierpoint_simulations < per_leg,
+            "overlapping selections must share simulations ({} vs {per_leg})",
+            counters.barrierpoint_simulations
+        );
+
+        let warm = sweep().run().unwrap();
+        assert_eq!(warm.counters().barrierpoint_simulations, 0, "a warm sweep simulates nothing");
+        assert_eq!(warm.legs(), cold.legs());
+
+        // Partially warm: only the new strategy's legs miss, so only its
+        // regions simulate, once per machine.
+        let extended = sweep()
+            .add_strategy("stratified-8", Arc::new(TwoPhaseStratified::with_budget(8)))
+            .run()
+            .unwrap();
+        let new_regions = extended.selection_for("stratified-8").unwrap().num_barrierpoints();
+        assert_eq!(extended.counters().simulate_legs, 2);
+        assert_eq!(extended.counters().barrierpoint_simulations, 2 * new_regions);
+        assert_eq!(extended.legs()[..6], *cold.legs());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -719,14 +719,27 @@ impl MruThreadObserver {
         }
     }
 
-    /// Closes every still-open record at this observer's own end and clamps
-    /// all records to the uniformly `taken` boundary count, yielding the
-    /// thread's finished interval list.
-    fn finish(mut self, taken: usize) -> Vec<IntervalRecord> {
+    /// Ends this observer's walk, keeping only what bank assembly reads:
+    /// closes every still-open record at the observer's own end and frees
+    /// the walk-time state — the collector's recency list and the
+    /// `touched`/`open` line sets.  A segmented walk seals each segment's
+    /// observer as its job finishes, so the observers retained for
+    /// stitching hold interval records only.  Sealing is idempotent; a
+    /// sealed observer must not be driven or snapshotted again.
+    pub fn seal(&mut self) {
         let end = self.next as u32;
         for (_, idx) in self.open.drain() {
             self.intervals[idx].until = end;
         }
+        self.open = LineMap::default();
+        self.touched = LineSet::default();
+        self.collector = MruCollector::new(0, self.collector.capacity_lines());
+    }
+
+    /// Seals the observer and clamps all records to the uniformly `taken`
+    /// boundary count, yielding the thread's finished interval list.
+    fn finish(mut self, taken: usize) -> Vec<IntervalRecord> {
+        self.seal();
         let taken = taken as u32;
         self.intervals.retain_mut(|record| {
             record.until = record.until.min(taken);
@@ -1581,6 +1594,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Sealing each segment's observer as its walk ends — what the segment
+    /// scheduler does — frees the walk-time state without changing what
+    /// the stitched bank assembles.
+    #[test]
+    fn sealed_segment_observers_stitch_bit_identically() {
+        let w = Benchmark::NpbCg.build(&WorkloadConfig::new(2).with_scale(0.05));
+        let regions = w.num_regions();
+        let all: Vec<usize> = (0..regions).collect();
+        let bounds = [0, regions / 3, regions / 2, regions];
+        let per_thread = (0..w.num_threads())
+            .map(|thread| {
+                let mut segments = Vec::new();
+                for pair in bounds.windows(2) {
+                    let mut observer = MruThreadObserver::new(&all, 1024);
+                    if pair[0] > 0 {
+                        let bytes = checkpoint_image_at(&w, thread, &all, pair[0]);
+                        observer.restore(pair[0], &bytes).expect("restore own snapshot");
+                    }
+                    bp_workload::drive_segment(&w, thread, pair[0], pair[1], &mut [&mut observer]);
+                    observer.seal();
+                    observer.seal(); // idempotent
+                    assert!(observer.open.is_empty() && observer.touched.is_empty());
+                    assert!(observer.collector.threads.is_empty(), "recency state dropped");
+                    assert_eq!(observer.collector.capacity_lines(), 1024);
+                    segments.push(observer);
+                }
+                segments
+            })
+            .collect();
+        let sealed = MruSnapshotBank::from_segmented_observers(per_thread);
+        let unsealed = segmented_bank(&w, &all, 1024, &bounds[1..bounds.len() - 1]);
+        assert_eq!(sealed.boundaries(), unsealed.boundaries());
+        for capacity in [1u64, 64, 1024] {
+            assert_eq!(sealed.assemble(&all, capacity), unsealed.assemble(&all, capacity));
+        }
+    }
+
+    /// Thread `thread`'s MRU checkpoint image at region `cut`, from a walk
+    /// of `[0, cut)`.
+    fn checkpoint_image_at(
+        w: &impl bp_workload::Workload,
+        thread: usize,
+        boundaries: &[usize],
+        cut: usize,
+    ) -> Vec<u8> {
+        let mut observer = MruThreadObserver::new(boundaries, 1024);
+        bp_workload::drive_segment(w, thread, 0, cut, &mut [&mut observer]);
+        observer.snapshot_at(cut)
     }
 
     #[test]

@@ -283,3 +283,80 @@ fn cross_core_count_sweep_expresses_figure6_in_one_call() {
     // The Figure 8 one-liner: predicted speedup of the scaled machine.
     assert!(report.predicted_speedup("4c", "8c").unwrap() > 1.0);
 }
+
+/// Strategies whose selections overlap — SimPoint at `max_k` 2/5/10 and the
+/// stratified backend at budgets 2/5/10 pick many of the same
+/// barrierpoints — must not change any leg: every leg's serialized
+/// `Simulated` equals the one the per-strategy pipeline computes for that
+/// machine on its own, on a cold uncached sweep and on a partially warm
+/// cached sweep where one strategy's legs are already stored.
+#[test]
+fn strategy_axis_legs_are_bit_identical_to_monolithic_runs() {
+    use barrierpoint::{SelectionStrategy, SimPointConfig, SimPointStrategy, TwoPhaseStratified};
+    use std::sync::Arc;
+
+    let w = workload(4);
+    let w2 = workload(2);
+    let mut strategies: Vec<(String, Arc<dyn SelectionStrategy>)> = Vec::new();
+    for k in [2, 5, 10] {
+        let strategy = SimPointStrategy::new(SimPointConfig::paper().with_max_k(k));
+        strategies.push((format!("simpoint-k{k}"), Arc::new(strategy)));
+    }
+    for budget in [2, 5, 10] {
+        let strategy = TwoPhaseStratified::with_budget(budget);
+        strategies.push((format!("stratified-{budget}"), Arc::new(strategy)));
+    }
+    let matrix = machine_matrix(4);
+    let cross = ("cross-2c", SimConfig::tiny(2));
+    let sweep = |strategies: &[(String, Arc<dyn SelectionStrategy>)],
+                 cache: Option<&ArtifactCache>| {
+        let mut sweep = Sweep::new(&w);
+        if let Some(cache) = cache {
+            sweep = sweep.with_cache(cache.clone());
+        }
+        for (label, strategy) in strategies {
+            sweep = sweep.add_strategy(label.clone(), strategy.clone());
+        }
+        for (label, machine) in &matrix {
+            sweep = sweep.add_config(*label, *machine);
+        }
+        sweep.add_point(cross.0, cross.1, &w2).run().unwrap()
+    };
+
+    // The per-leg reference: each strategy's own pipeline, one leg at a time.
+    let mut expected = Vec::new();
+    for (label, strategy) in &strategies {
+        let selected =
+            BarrierPoint::new(&w).with_selection_strategy(strategy.clone()).select().unwrap();
+        for (point, machine) in &matrix {
+            let leg = selected.simulate(machine).unwrap();
+            expected.push((format!("{label}/{point}"), serde::to_vec(&*leg)));
+        }
+        let leg = selected.simulate_on(&w2, &cross.1).unwrap();
+        expected.push((format!("{label}/{}", cross.0), serde::to_vec(&*leg)));
+    }
+    let check = |report: &barrierpoint::SweepReport, run: &str| {
+        assert_eq!(report.legs().len(), expected.len(), "{run}");
+        for (label, bytes) in &expected {
+            let leg = report.get(label).unwrap_or_else(|| panic!("{run}: no leg {label}"));
+            assert!(serde::to_vec(leg.simulated()) == *bytes, "{run}: {label} differs");
+        }
+    };
+
+    check(&sweep(&strategies, None), "uncached");
+
+    let dir = std::env::temp_dir().join(format!("bp-sweep-strategy-legs-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cache = ArtifactCache::new(&dir);
+    let first = sweep(&strategies[..1], Some(&cache));
+    let points = matrix.len() + 1;
+    assert_eq!(first.counters().simulate_legs, points);
+    let partial = sweep(&strategies, Some(&cache));
+    assert!(
+        partial.counters().simulated_cache_hits >= points,
+        "the first strategy's legs are served from the cache"
+    );
+    assert!(partial.counters().simulate_legs > 0, "the other strategies' legs miss");
+    check(&partial, "partially warm");
+    std::fs::remove_dir_all(&dir).ok();
+}
