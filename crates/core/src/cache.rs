@@ -3,14 +3,15 @@
 //! The paper's central economy is amortization: the one-time artifacts of the
 //! pipeline — the signature profile and the barrierpoint selection — serve
 //! *many* detailed simulations, and (Figure 6) even transfer across machine
-//! configurations.  [`ArtifactCache`] keeps all three stage artifacts so that
+//! configurations.  [`ArtifactCache`] keeps four artifact kinds — profiles,
+//! selections, simulated legs and region-segment checkpoints — so that
 //! design-space sweeps pay their one-time costs exactly once, in **two
 //! tiers**:
 //!
 //! * a **memory tier**: decoded artifacts (`Arc<ApplicationProfile>`,
-//!   `Arc<BarrierPointSelection>`, `Arc<Simulated>`) held in-process, shared
-//!   across clones of the cache like the stat counters.  A memory hit is a
-//!   pointer clone — no I/O, no deserialization — which is what makes warm
+//!   `Arc<BarrierPointSelection>`, ...) held in-process, shared across
+//!   clones of the cache like the stat counters.  A memory hit is a pointer
+//!   clone — no I/O, no deserialization — which is what makes warm
 //!   *in-process* re-sweeps drop below the disk tier's decode floor.  The
 //!   tier has its own LRU order and byte bound
 //!   ([`ArtifactCache::with_memory_max_bytes`], charged at serialized entry
@@ -19,10 +20,23 @@
 //!   survive the process and carry the amortization across runs.
 //!
 //! Lookups check memory first and fall back to disk; a successful disk decode
-//! populates the memory tier, and stores write through both tiers.  Keying is
-//! identical in both tiers:
+//! populates the memory tier, and stores write through both tiers.
 //!
-//! * **Profiles** are keyed by the workload's
+//! # One generic artifact path
+//!
+//! The kinds differ only in their key and artifact types.  Each key type
+//! implements the sealed [`ArtifactKey`] trait (artifact type, kind index,
+//! identity words, memory-tier wrap/unwrap), and the `KINDS` table holds
+//! every kind's magic and file extension.  One generic function per
+//! operation serves all four kinds — entry path, tiered lookup, degraded
+//! lookup, accounted probe, write-through store, encode and decode — behind
+//! the public [`ArtifactCache::load`]/[`ArtifactCache::store`].  The eviction
+//! scan iterates `KINDS`, so no kind can be left out of it, and the per-kind
+//! hit/miss counters are indexed by the kind.
+//!
+//! Keying is identical in both tiers:
+//!
+//! * **Profiles** and **checkpoints** are keyed by the workload's
 //!   [`profile_fingerprint`](Workload::profile_fingerprint) (a content
 //!   address over everything that determines the traces: name, thread count,
 //!   seed, scale, phase structure).
@@ -37,15 +51,16 @@
 //!   selection *content* fingerprint, and a fingerprint of the
 //!   `(SimConfig, WarmupKind)` pair.
 //!
-//! Disk entries are self-validating: a magic number, a format version, and
-//! the full key are stored in the header, and every entry carries a trailing
-//! FNV-1a checksum of its bytes.  Any mismatch — version bump, fingerprint
-//! collision on the truncated file name, torn tail, a single flipped payload
-//! bit — is treated as a miss rather than an error (a later store self-heals
-//! the entry).  An entry is marked recently-used only *after* it decodes
-//! successfully, so corrupt or stale garbage can never be promoted over
-//! valid entries in the disk tier's LRU order.  Only genuine I/O failures
-//! surface as [`Error::ProfileCache`].
+//! Disk entries are self-validating, one container layout for every kind: a
+//! magic number, a format version, the full key (workload name, thread
+//! count, identity words), the artifact's serialized payload, and a trailing
+//! FNV-1a checksum of everything before it.  Any mismatch — version bump,
+//! another kind's entry, fingerprint collision on the truncated file name,
+//! torn tail, a single flipped payload bit — is treated as a miss rather
+//! than an error (a later store self-heals the entry).  An entry is marked
+//! recently-used only *after* it decodes successfully, so corrupt or stale
+//! garbage can never be promoted over valid entries in the disk tier's LRU
+//! order.  Only genuine I/O failures surface as [`Error::ProfileCache`].
 //!
 //! The cache keeps shared hit/miss counters ([`ArtifactCache::stats`];
 //! clones share them, and every counter distinguishes the serving tier) and
@@ -78,7 +93,8 @@
 //!   of a fully written tmp file and self-validate on load, so a reopened
 //!   cache serves either the bit-identical artifact or a clean miss, never
 //!   corruption (pinned by the kill-point torture suite,
-//!   `tests/storage_torture.rs`).
+//!   `tests/storage_torture.rs`, and the golden-bytes suite,
+//!   `tests/cache_format.rs`).
 //!
 //! Session counters can be persisted across restarts: a versioned,
 //! corrupt-tolerant `cache-state` file written by [`ArtifactCache::flush`]
@@ -100,29 +116,34 @@ use bp_exec::ExecutionPolicy;
 use bp_signature::SignatureConfig;
 use bp_sim::SimConfig;
 use bp_workload::{FingerprintHasher, Workload};
+use std::fmt::Write as _;
 use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-/// Magic bytes at the start of every profile cache file.
-const PROFILE_MAGIC: &[u8; 4] = b"BPPF";
-/// Magic bytes at the start of every selection cache file.
-const SELECTION_MAGIC: &[u8; 4] = b"BPSL";
-/// Magic bytes at the start of every simulated-leg cache file.
-const SIMULATED_MAGIC: &[u8; 4] = b"BPSM";
-/// Magic bytes at the start of every region-segment checkpoint cache file.
-const CHECKPOINT_MAGIC: &[u8; 4] = b"BPCK";
 /// Bump whenever the serialized layout of a cached artifact (or the entry
 /// header) changes; old entries then read as misses and are overwritten.
 /// Version 3 added the trailing integrity checksum (see [`seal`]).
 /// Version 4 added the region-segment checkpoint (`ckpt`) artifact kind.
 const FORMAT_VERSION: u32 = 4;
-/// File extensions of the four artifact kinds (also the eviction scan
-/// filter).
-const PROFILE_EXT: &str = "bpprof";
-const SELECTION_EXT: &str = "bpsel";
-const SIMULATED_EXT: &str = "bpsim";
-const CHECKPOINT_EXT: &str = "bpckpt";
+
+/// The on-disk identity of one artifact kind.
+struct Kind {
+    /// Magic bytes at the start of every entry file of the kind.
+    magic: &'static [u8; 4],
+    /// File extension of the kind's entries.
+    ext: &'static str,
+}
+
+/// Every artifact kind, indexed by [`ArtifactKey::KIND`] and in the order
+/// of [`CacheStats`]' per-kind counters.  The single source of each kind's
+/// magic and extension; the eviction scan iterates it.
+const KINDS: [Kind; 4] = [
+    Kind { magic: b"BPPF", ext: "bpprof" },
+    Kind { magic: b"BPSL", ext: "bpsel" },
+    Kind { magic: b"BPSM", ext: "bpsim" },
+    Kind { magic: b"BPCK", ext: "bpckpt" },
+];
 
 /// Name of the persisted-statistics file inside the cache directory.  No
 /// artifact extension, so the eviction scan neither counts nor deletes it.
@@ -175,6 +196,67 @@ fn epoch_ms() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or_default()
 }
 
+mod sealed {
+    /// Closes [`ArtifactKey`](super::ArtifactKey) to the cache's own four
+    /// key types.
+    pub trait Sealed {}
+}
+
+/// The content address of one artifact kind: implemented by
+/// [`ProfileCacheKey`], [`SelectionCacheKey`], [`SimulatedCacheKey`] and
+/// [`CheckpointCacheKey`] only (the trait is sealed), it is what lets
+/// [`ArtifactCache::load`] and [`ArtifactCache::store`] serve every kind.
+pub trait ArtifactKey: sealed::Sealed {
+    /// The artifact stored under this kind of key.
+    type Artifact: serde::Serialize + serde::Deserialize + Clone;
+
+    /// This kind's row of the kind table and of the per-kind statistics.
+    #[doc(hidden)]
+    const KIND: usize;
+
+    /// How many identity words (see [`identity`](Self::identity)) the key
+    /// has.
+    #[doc(hidden)]
+    const WORDS: usize;
+
+    /// Magic bytes at the start of this kind's entry files.
+    const MAGIC: &'static [u8; 4] = KINDS[Self::KIND].magic;
+
+    /// File extension of this kind's entry files.
+    const EXT: &'static str = KINDS[Self::KIND].ext;
+
+    /// The workload name and thread count the key addresses, and its
+    /// identity words: the fingerprints the entry header stores after them
+    /// (the first [`WORDS`](Self::WORDS); the rest are zero).
+    #[doc(hidden)]
+    fn identity(&self) -> (&str, usize, [u64; 3]);
+
+    /// Wraps an artifact of this kind for the memory tier.
+    #[doc(hidden)]
+    fn into_memory(artifact: Arc<Self::Artifact>) -> MemoryArtifact;
+
+    /// Unwraps a memory-tier artifact, `None` if it is of another kind.
+    #[doc(hidden)]
+    fn from_memory(artifact: MemoryArtifact) -> Option<Arc<Self::Artifact>>;
+
+    /// File name of this entry inside a cache directory: the sanitized
+    /// workload name, the thread count, and the identity words in hex.
+    #[doc(hidden)]
+    fn file_name(&self) -> String {
+        let (name, threads, words) = self.identity();
+        let mut file: String = name
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+            .collect();
+        let _ = write!(file, "-{threads}t");
+        for word in &words[..Self::WORDS] {
+            let _ = write!(file, "-{word:016x}");
+        }
+        let _ = write!(file, ".{}", Self::EXT);
+        file
+    }
+}
+
 /// The content address of one profile: everything the cache needs to locate
 /// and validate an entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -203,16 +285,28 @@ impl ProfileCacheKey {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
+}
 
-    /// File name of this entry inside a cache directory: human-readable
-    /// prefix plus the full fingerprint in hex.
-    fn file_name(&self) -> String {
-        format!(
-            "{}-{}t-{:016x}.{PROFILE_EXT}",
-            sanitize(&self.workload_name),
-            self.threads,
-            self.fingerprint
-        )
+impl sealed::Sealed for ProfileCacheKey {}
+
+impl ArtifactKey for ProfileCacheKey {
+    type Artifact = ApplicationProfile;
+    const KIND: usize = 0;
+    const WORDS: usize = 1;
+
+    fn identity(&self) -> (&str, usize, [u64; 3]) {
+        (&self.workload_name, self.threads, [self.fingerprint, 0, 0])
+    }
+
+    fn into_memory(artifact: Arc<ApplicationProfile>) -> MemoryArtifact {
+        MemoryArtifact::Profile(artifact)
+    }
+
+    fn from_memory(artifact: MemoryArtifact) -> Option<Arc<ApplicationProfile>> {
+        match artifact {
+            MemoryArtifact::Profile(profile) => Some(profile),
+            _ => None,
+        }
     }
 }
 
@@ -225,45 +319,51 @@ impl ProfileCacheKey {
 /// on the trace itself, so one cold walk's checkpoints serve every later
 /// re-walk of that workload regardless of why it re-walks.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CheckpointCacheKey {
-    workload_name: String,
-    threads: usize,
-    fingerprint: u64,
-}
+pub struct CheckpointCacheKey(ProfileCacheKey);
 
 impl CheckpointCacheKey {
     /// Computes the key for `workload`.
     pub fn for_workload<W: Workload + ?Sized>(workload: &W) -> Self {
-        Self::for_profile(&ProfileCacheKey::for_workload(workload))
+        Self(ProfileCacheKey::for_workload(workload))
     }
 
     /// The checkpoint key of the workload `profile_key` addresses — the
     /// same identity, without fingerprinting the workload again.
     pub(crate) fn for_profile(profile_key: &ProfileCacheKey) -> Self {
-        Self {
-            workload_name: profile_key.workload_name.clone(),
-            threads: profile_key.threads,
-            fingerprint: profile_key.fingerprint,
-        }
+        Self(profile_key.clone())
     }
 
     /// The workload name component.
     pub fn workload_name(&self) -> &str {
-        &self.workload_name
+        self.0.workload_name()
     }
 
     /// The content fingerprint component.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.0.fingerprint()
+    }
+}
+
+impl sealed::Sealed for CheckpointCacheKey {}
+
+impl ArtifactKey for CheckpointCacheKey {
+    type Artifact = WorkloadCheckpoints;
+    const KIND: usize = 3;
+    const WORDS: usize = 1;
+
+    fn identity(&self) -> (&str, usize, [u64; 3]) {
+        self.0.identity()
     }
 
-    fn file_name(&self) -> String {
-        format!(
-            "{}-{}t-{:016x}.{CHECKPOINT_EXT}",
-            sanitize(&self.workload_name),
-            self.threads,
-            self.fingerprint
-        )
+    fn into_memory(artifact: Arc<WorkloadCheckpoints>) -> MemoryArtifact {
+        MemoryArtifact::Checkpoint(artifact)
+    }
+
+    fn from_memory(artifact: MemoryArtifact) -> Option<Arc<WorkloadCheckpoints>> {
+        match artifact {
+            MemoryArtifact::Checkpoint(checkpoints) => Some(checkpoints),
+            _ => None,
+        }
     }
 }
 
@@ -322,15 +422,28 @@ impl SelectionCacheKey {
     pub fn config_fingerprint(&self) -> u64 {
         self.config_fingerprint
     }
+}
 
-    fn file_name(&self) -> String {
-        format!(
-            "{}-{}t-{:016x}-{:016x}.{SELECTION_EXT}",
-            sanitize(&self.workload_name),
-            self.threads,
-            self.profile_fingerprint,
-            self.config_fingerprint
-        )
+impl sealed::Sealed for SelectionCacheKey {}
+
+impl ArtifactKey for SelectionCacheKey {
+    type Artifact = BarrierPointSelection;
+    const KIND: usize = 1;
+    const WORDS: usize = 2;
+
+    fn identity(&self) -> (&str, usize, [u64; 3]) {
+        (&self.workload_name, self.threads, [self.profile_fingerprint, self.config_fingerprint, 0])
+    }
+
+    fn into_memory(artifact: Arc<BarrierPointSelection>) -> MemoryArtifact {
+        MemoryArtifact::Selection(artifact)
+    }
+
+    fn from_memory(artifact: MemoryArtifact) -> Option<Arc<BarrierPointSelection>> {
+        match artifact {
+            MemoryArtifact::Selection(selection) => Some(selection),
+            _ => None,
+        }
     }
 }
 
@@ -362,23 +475,11 @@ impl SimulatedCacheKey {
         sim_config: &SimConfig,
         warmup: WarmupKind,
     ) -> Self {
-        Self::with_selection_fingerprint(workload, selection.fingerprint(), sim_config, warmup)
-    }
-
-    /// [`new`](Self::new) with a precomputed selection-content fingerprint:
-    /// deriving the fingerprint serializes the whole selection, so a sweep
-    /// deriving one key per design point computes it once and reuses it.
-    pub(crate) fn with_selection_fingerprint<W: Workload + ?Sized>(
-        workload: &W,
-        selection_fingerprint: u64,
-        sim_config: &SimConfig,
-        warmup: WarmupKind,
-    ) -> Self {
         Self {
             workload_name: workload.name().to_string(),
             threads: workload.num_threads(),
             workload_fingerprint: workload.profile_fingerprint(),
-            selection_fingerprint,
+            selection_fingerprint: selection.fingerprint(),
             config_fingerprint: sim_config_fingerprint(sim_config, warmup),
         }
     }
@@ -411,16 +512,30 @@ impl SimulatedCacheKey {
     pub fn config_fingerprint(&self) -> u64 {
         self.config_fingerprint
     }
+}
 
-    fn file_name(&self) -> String {
-        format!(
-            "{}-{}t-{:016x}-{:016x}-{:016x}.{SIMULATED_EXT}",
-            sanitize(&self.workload_name),
-            self.threads,
-            self.workload_fingerprint,
-            self.selection_fingerprint,
-            self.config_fingerprint
-        )
+impl sealed::Sealed for SimulatedCacheKey {}
+
+impl ArtifactKey for SimulatedCacheKey {
+    type Artifact = Simulated;
+    const KIND: usize = 2;
+    const WORDS: usize = 3;
+
+    fn identity(&self) -> (&str, usize, [u64; 3]) {
+        let words =
+            [self.workload_fingerprint, self.selection_fingerprint, self.config_fingerprint];
+        (&self.workload_name, self.threads, words)
+    }
+
+    fn into_memory(artifact: Arc<Simulated>) -> MemoryArtifact {
+        MemoryArtifact::Simulated(artifact)
+    }
+
+    fn from_memory(artifact: MemoryArtifact) -> Option<Arc<Simulated>> {
+        match artifact {
+            MemoryArtifact::Simulated(simulated) => Some(simulated),
+            _ => None,
+        }
     }
 }
 
@@ -431,12 +546,6 @@ pub(crate) fn sim_config_fingerprint(sim_config: &SimConfig, warmup: WarmupKind)
     hasher.write_bytes(&serde::to_vec(sim_config));
     hasher.write_str(warmup.name());
     hasher.finish()
-}
-
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-        .collect()
 }
 
 /// A point-in-time snapshot of a cache's hit/miss counters.
@@ -502,15 +611,17 @@ const STATS_FIELDS: usize = 18;
 impl CacheStats {
     /// Total lookups served from the memory tier, over all artifact kinds.
     pub fn memory_hits(&self) -> u64 {
-        self.profile_memory_hits
-            + self.selection_memory_hits
-            + self.simulated_memory_hits
-            + self.checkpoint_memory_hits
+        self.over_kinds(MEMORY_HIT)
     }
 
     /// Total lookups served from the disk tier, over all artifact kinds.
     pub fn disk_hits(&self) -> u64 {
-        self.profile_hits + self.selection_hits + self.simulated_hits + self.checkpoint_hits
+        self.over_kinds(DISK_HIT)
+    }
+
+    /// The sum of one outcome column over every kind's counter row.
+    fn over_kinds(&self, outcome: usize) -> u64 {
+        self.as_array().chunks(3).take(KINDS.len()).map(|row| row[outcome]).sum()
     }
 
     /// The field-wise (saturating) sum of two snapshots — how a persisted
@@ -572,20 +683,21 @@ impl CacheStats {
     }
 }
 
+/// Per-kind lookup outcomes: the column of a [`StatCounters::lookups`] row,
+/// in [`CacheStats::as_array`]'s per-kind order.
+const MEMORY_HIT: usize = 0;
+const DISK_HIT: usize = 1;
+const MISS: usize = 2;
+
+/// A tiered lookup's artifact, if found, and its outcome column.
+type Lookup<A> = (Option<Arc<A>>, usize);
+
+/// The shared counters behind [`CacheStats`], laid out in its persisted
+/// order: one `[memory hit, disk hit, miss]` row per kind, then the six
+/// cache-wide counters.
 #[derive(Debug, Default)]
 struct StatCounters {
-    profile_memory_hits: AtomicU64,
-    profile_hits: AtomicU64,
-    profile_misses: AtomicU64,
-    selection_memory_hits: AtomicU64,
-    selection_hits: AtomicU64,
-    selection_misses: AtomicU64,
-    simulated_memory_hits: AtomicU64,
-    simulated_hits: AtomicU64,
-    simulated_misses: AtomicU64,
-    checkpoint_memory_hits: AtomicU64,
-    checkpoint_hits: AtomicU64,
-    checkpoint_misses: AtomicU64,
+    lookups: [[AtomicU64; 3]; KINDS.len()],
     evictions: AtomicU64,
     memory_evictions: AtomicU64,
     degraded_loads: AtomicU64,
@@ -612,22 +724,34 @@ fn read(counter: &AtomicU64) -> u64 {
     counter.load(Ordering::Relaxed)
 }
 
-/// Key space of the memory tier — the same content addresses as the disk
-/// tier, one variant per artifact kind so kinds can never alias.
+/// Key space of the memory tier — the same content address as the disk
+/// tier, tagged with the kind so kinds can never alias (a profile and a
+/// checkpoint key share every identity field).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum MemoryKey {
-    Profile(ProfileCacheKey),
-    Selection(SelectionCacheKey),
-    Simulated(SimulatedCacheKey),
-    Checkpoint(CheckpointCacheKey),
+struct MemoryKey {
+    kind: usize,
+    workload_name: String,
+    threads: usize,
+    words: [u64; 3],
+}
+
+impl MemoryKey {
+    fn of<K: ArtifactKey>(key: &K) -> Self {
+        let (workload_name, threads, words) = key.identity();
+        Self { kind: K::KIND, workload_name: workload_name.to_string(), threads, words }
+    }
 }
 
 /// A decoded artifact held by the memory tier.  Cloning is a pointer clone.
 #[derive(Debug, Clone)]
-enum MemoryArtifact {
+pub enum MemoryArtifact {
+    /// A profile.
     Profile(Arc<ApplicationProfile>),
+    /// A barrierpoint selection.
     Selection(Arc<BarrierPointSelection>),
+    /// A simulated leg.
     Simulated(Arc<Simulated>),
+    /// A workload's region-segment checkpoints.
     Checkpoint(Arc<WorkloadCheckpoints>),
 }
 
@@ -643,9 +767,10 @@ enum MemoryArtifact {
 // touched).
 
 /// A two-tier cache of pipeline artifacts — [`ApplicationProfile`]s,
-/// [`BarrierPointSelection`]s and [`Simulated`] legs — keyed by workload and
-/// configuration content: an in-process memory tier of decoded artifacts in
-/// front of a directory of serialized entries.
+/// [`BarrierPointSelection`]s, [`Simulated`] legs and
+/// [`WorkloadCheckpoints`] — keyed by workload and configuration content: an
+/// in-process memory tier of decoded artifacts in front of a directory of
+/// serialized entries.
 ///
 /// ```
 /// use barrierpoint::{ArtifactCache, ExecutionPolicy, SignatureConfig};
@@ -702,11 +827,6 @@ pub struct ArtifactCache {
     storage: Arc<dyn Storage>,
     lock_stale_after: Duration,
 }
-
-/// The pre-redesign name of [`ArtifactCache`], kept for continuity: the
-/// profile-caching API is unchanged, the type has only grown selection
-/// memoization, statistics and eviction.
-pub type ProfileCache = ArtifactCache;
 
 impl ArtifactCache {
     /// A cache rooted at `root` (created lazily on first store); both tiers
@@ -776,26 +896,21 @@ impl ArtifactCache {
     /// A snapshot of the hit/miss/eviction counters, aggregated over every
     /// clone of this cache.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            profile_memory_hits: read(&self.stats.profile_memory_hits),
-            profile_hits: read(&self.stats.profile_hits),
-            profile_misses: read(&self.stats.profile_misses),
-            selection_memory_hits: read(&self.stats.selection_memory_hits),
-            selection_hits: read(&self.stats.selection_hits),
-            selection_misses: read(&self.stats.selection_misses),
-            simulated_memory_hits: read(&self.stats.simulated_memory_hits),
-            simulated_hits: read(&self.stats.simulated_hits),
-            simulated_misses: read(&self.stats.simulated_misses),
-            checkpoint_memory_hits: read(&self.stats.checkpoint_memory_hits),
-            checkpoint_hits: read(&self.stats.checkpoint_hits),
-            checkpoint_misses: read(&self.stats.checkpoint_misses),
-            evictions: read(&self.stats.evictions),
-            memory_evictions: read(&self.stats.memory_evictions),
-            degraded_loads: read(&self.stats.degraded_loads),
-            degraded_stores: read(&self.stats.degraded_stores),
-            retries: read(&self.stats.retries),
-            lock_contended: read(&self.stats.lock_contended),
+        let s = &self.stats;
+        let cache_wide = [
+            &s.evictions,
+            &s.memory_evictions,
+            &s.degraded_loads,
+            &s.degraded_stores,
+            &s.retries,
+            &s.lock_contended,
+        ];
+        let mut values = [0; STATS_FIELDS];
+        for (value, counter) in values.iter_mut().zip(s.lookups.iter().flatten().chain(cache_wide))
+        {
+            *value = read(counter);
         }
+        CacheStats::from_array(values)
     }
 
     /// The lifetime view of the counters: the persisted base from the
@@ -848,19 +963,8 @@ impl ArtifactCache {
         }
     }
 
-    fn profile_path(&self, key: &ProfileCacheKey) -> PathBuf {
-        self.root.join(key.file_name())
-    }
-
-    fn selection_path(&self, key: &SelectionCacheKey) -> PathBuf {
-        self.root.join(key.file_name())
-    }
-
-    fn simulated_path(&self, key: &SimulatedCacheKey) -> PathBuf {
-        self.root.join(key.file_name())
-    }
-
-    fn checkpoint_path(&self, key: &CheckpointCacheKey) -> PathBuf {
+    /// Path of `key`'s entry file inside the cache directory.
+    fn path<K: ArtifactKey>(&self, key: &K) -> PathBuf {
         self.root.join(key.file_name())
     }
 
@@ -891,7 +995,7 @@ impl ArtifactCache {
     /// Deliberately does *not* touch the entry for LRU: a read alone proves
     /// nothing — the payload may be corrupt or stale-versioned, and marking
     /// it recently used would let garbage outlive valid entries under a size
-    /// bound.  The `lookup_*` paths touch only after a successful decode.
+    /// bound.  The lookup path touches only after a successful decode.
     fn read_entry(&self, path: &Path) -> Result<Option<Vec<u8>>, Error> {
         match self.retrying(|| self.storage.read(path)) {
             Ok(bytes) => Ok(Some(bytes)),
@@ -1038,7 +1142,7 @@ impl ArtifactCache {
         for entry in entries {
             let ext = entry.path.extension().and_then(|e| e.to_str());
             match ext {
-                Some(PROFILE_EXT | SELECTION_EXT | SIMULATED_EXT | CHECKPOINT_EXT) => {
+                Some(ext) if KINDS.iter().any(|kind| kind.ext == ext) => {
                     files.push((entry.modified, entry.len, entry.path));
                 }
                 _ => {
@@ -1068,46 +1172,84 @@ impl ArtifactCache {
         }
     }
 
-    /// Tiered profile lookup: memory first, then disk (a successful disk
-    /// decode touches the entry and populates the memory tier).  The boolean
-    /// is `true` when the memory tier served the hit.
-    fn lookup_profile(
-        &self,
-        key: &ProfileCacheKey,
-    ) -> Result<Option<(Arc<ApplicationProfile>, bool)>, Error> {
-        if let Some(MemoryArtifact::Profile(profile)) =
-            self.memory.get(&MemoryKey::Profile(key.clone()))
-        {
-            return Ok(Some((profile, true)));
-        }
-        let path = self.profile_path(key);
-        let Some(bytes) = self.read_entry(&path)? else { return Ok(None) };
-        let Some(profile) = decode_profile(&bytes, key) else { return Ok(None) };
-        self.touch_entry(&path);
-        let profile = Arc::new(profile);
-        self.memory.insert(
-            MemoryKey::Profile(key.clone()),
-            MemoryArtifact::Profile(profile.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(Some((profile, false)))
+    /// Inserts a decoded artifact into the memory tier, charged at its
+    /// serialized entry size.
+    fn remember(&self, key: MemoryKey, artifact: MemoryArtifact, bytes: &[u8]) {
+        self.memory.insert(key, artifact, bytes.len() as u64, &self.stats.memory_evictions);
     }
 
-    /// Looks up the profile stored under `key`, in either tier.
+    /// Tiered lookup: memory first, then disk (a successful disk decode
+    /// touches the entry and populates the memory tier).  Also returns the
+    /// lookup's outcome column for the per-kind counters.
+    fn lookup<K: ArtifactKey>(&self, key: &K) -> Result<Lookup<K::Artifact>, Error> {
+        let memory_key = MemoryKey::of(key);
+        if let Some(artifact) = self.memory.get(&memory_key).and_then(K::from_memory) {
+            return Ok((Some(artifact), MEMORY_HIT));
+        }
+        let path = self.path(key);
+        let Some(bytes) = self.read_entry(&path)? else { return Ok((None, MISS)) };
+        let Some(artifact) = decode(&bytes, key) else { return Ok((None, MISS)) };
+        self.touch_entry(&path);
+        let artifact = Arc::new(artifact);
+        self.remember(memory_key, K::into_memory(artifact.clone()), &bytes);
+        Ok((Some(artifact), DISK_HIT))
+    }
+
+    /// [`load`](Self::load) with per-tier hit/miss accounting: every
+    /// *logical* lookup of the sweep and the staged API goes through here
+    /// exactly once.  A persistent read failure is demoted to a miss (the
+    /// artifact will be recomputed) and recorded in `degraded_loads`,
+    /// instead of failing the pipeline.
+    pub(crate) fn probe<K: ArtifactKey>(&self, key: &K) -> Option<Arc<K::Artifact>> {
+        let (found, outcome) = self.lookup(key).unwrap_or_else(|_| {
+            bump(&self.stats.degraded_loads);
+            (None, MISS)
+        });
+        bump(&self.stats.lookups[K::KIND][outcome]);
+        found
+    }
+
+    /// Write-through store of an already-shared artifact (no deep copy).
+    /// Disk failures degrade (see
+    /// [`write_entry_degraded`](Self::write_entry_degraded)); the memory
+    /// tier is populated either way.
+    pub(crate) fn store_arc<K: ArtifactKey>(&self, key: &K, artifact: &Arc<K::Artifact>) {
+        let bytes = encode(key, artifact);
+        self.write_entry_degraded(&self.path(key), &bytes);
+        self.remember(MemoryKey::of(key), K::into_memory(artifact.clone()), &bytes);
+    }
+
+    /// Returns the artifact cached under `key`, running `compute` and
+    /// populating both tiers on a miss.  The boolean is `true` when the
+    /// artifact came from the cache.
+    fn load_or_compute<K: ArtifactKey>(
+        &self,
+        key: &K,
+        compute: impl FnOnce() -> Result<Arc<K::Artifact>, Error>,
+    ) -> Result<(Arc<K::Artifact>, bool), Error> {
+        if let Some(artifact) = self.probe(key) {
+            return Ok((artifact, true));
+        }
+        let artifact = compute()?;
+        self.store_arc(key, &artifact);
+        Ok((artifact, false))
+    }
+
+    /// Looks up the artifact stored under `key`, in either tier.
     ///
-    /// Returns `Ok(None)` on a miss — including stale-version or corrupt
-    /// disk entries, which a later [`store`](Self::store) will overwrite.
+    /// Returns `Ok(None)` on a miss — including stale-version, corrupt or
+    /// another kind's disk entries, which a later [`store`](Self::store)
+    /// will overwrite.
     ///
     /// # Errors
     ///
     /// Returns [`Error::ProfileCache`] for I/O failures other than the entry
     /// not existing.
-    pub fn load(&self, key: &ProfileCacheKey) -> Result<Option<Arc<ApplicationProfile>>, Error> {
-        Ok(self.lookup_profile(key)?.map(|(profile, _)| profile))
+    pub fn load<K: ArtifactKey>(&self, key: &K) -> Result<Option<Arc<K::Artifact>>, Error> {
+        Ok(self.lookup(key)?.0)
     }
 
-    /// Persists `profile` under `key` in both tiers, creating the cache
+    /// Persists `artifact` under `key` in both tiers, creating the cache
     /// directory if needed.  Unlike the `load_or_*` paths, the raw store
     /// API does not degrade: the caller asked for persistence and learns
     /// when it did not happen.
@@ -1116,199 +1258,84 @@ impl ArtifactCache {
     ///
     /// Returns [`Error::ProfileCache`] on I/O failure (after bounded
     /// transient retries).
-    pub fn store(&self, key: &ProfileCacheKey, profile: &ApplicationProfile) -> Result<(), Error> {
-        let profile = Arc::new(profile.clone());
-        let bytes = encode_profile(key, &profile);
-        self.write_entry(&self.profile_path(key), &bytes)?;
-        self.memory.insert(
-            MemoryKey::Profile(key.clone()),
-            MemoryArtifact::Profile(profile),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
+    pub fn store<K: ArtifactKey>(&self, key: &K, artifact: &K::Artifact) -> Result<(), Error> {
+        let artifact = Arc::new(artifact.clone());
+        let bytes = encode(key, &artifact);
+        self.write_entry(&self.path(key), &bytes)?;
+        self.remember(MemoryKey::of(key), K::into_memory(artifact), &bytes);
         Ok(())
     }
 
-    /// [`lookup_profile`](Self::lookup_profile) on the degrade-to-recompute
-    /// paths: a persistent read failure is demoted to a miss (the profile
-    /// will be recomputed) and recorded, instead of failing the pipeline.
-    fn lookup_profile_degraded(
-        &self,
-        key: &ProfileCacheKey,
-    ) -> Option<(Arc<ApplicationProfile>, bool)> {
-        match self.lookup_profile(key) {
-            Ok(found) => found,
-            Err(_) => {
-                bump(&self.stats.degraded_loads);
-                None
-            }
-        }
-    }
-
-    /// [`load`](Self::load) with hit/miss accounting — the sweep's logical
-    /// profile lookup (the sweep stores the computed profile itself, because
-    /// a fused cold pass produces it together with the warmup state).
-    /// Degrades I/O failures to misses; the `Result` carries only future
-    /// error sources.
-    pub(crate) fn probe_profile(
-        &self,
-        key: &ProfileCacheKey,
-    ) -> Result<Option<Arc<ApplicationProfile>>, Error> {
-        match self.lookup_profile_degraded(key) {
-            Some((profile, true)) => {
-                bump(&self.stats.profile_memory_hits);
-                Ok(Some(profile))
-            }
-            Some((profile, false)) => {
-                bump(&self.stats.profile_hits);
-                Ok(Some(profile))
-            }
-            None => {
-                bump(&self.stats.profile_misses);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Write-through store of an already-shared profile (no deep copy).
-    /// Disk failures degrade (see [`write_entry_degraded`]
-    /// (Self::write_entry_degraded)); the memory tier is populated either
-    /// way.
-    pub(crate) fn store_profile_arc(
-        &self,
-        key: &ProfileCacheKey,
-        profile: &Arc<ApplicationProfile>,
-    ) -> Result<(), Error> {
-        let bytes = encode_profile(key, profile);
-        self.write_entry_degraded(&self.profile_path(key), &bytes);
-        self.memory.insert(
-            MemoryKey::Profile(key.clone()),
-            MemoryArtifact::Profile(profile.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
-    }
-
-    /// Tiered selection lookup; see [`lookup_profile`](Self::lookup_profile).
-    fn lookup_selection(
-        &self,
-        key: &SelectionCacheKey,
-    ) -> Result<Option<(Arc<BarrierPointSelection>, bool)>, Error> {
-        if let Some(MemoryArtifact::Selection(selection)) =
-            self.memory.get(&MemoryKey::Selection(key.clone()))
-        {
-            return Ok(Some((selection, true)));
-        }
-        let path = self.selection_path(key);
-        let Some(bytes) = self.read_entry(&path)? else { return Ok(None) };
-        let Some(selection) = decode_selection(&bytes, key) else { return Ok(None) };
-        self.touch_entry(&path);
-        let selection = Arc::new(selection);
-        self.memory.insert(
-            MemoryKey::Selection(key.clone()),
-            MemoryArtifact::Selection(selection.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(Some((selection, false)))
-    }
-
-    /// Looks up the selection stored under `key`, in either tier; `Ok(None)`
-    /// on any miss.
+    /// [`load`](Self::load) of a selection.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ProfileCache`] for I/O failures other than the entry
-    /// not existing.
+    /// As for [`load`](Self::load).
     pub fn load_selection(
         &self,
         key: &SelectionCacheKey,
     ) -> Result<Option<Arc<BarrierPointSelection>>, Error> {
-        Ok(self.lookup_selection(key)?.map(|(selection, _)| selection))
+        self.load(key)
     }
 
-    /// Persists `selection` under `key` in both tiers.  Does not degrade;
-    /// see [`store`](Self::store).
+    /// [`store`](Self::store) of a selection.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ProfileCache`] on I/O failure (after bounded
-    /// transient retries).
+    /// As for [`store`](Self::store).
     pub fn store_selection(
         &self,
         key: &SelectionCacheKey,
         selection: &BarrierPointSelection,
     ) -> Result<(), Error> {
-        let selection = Arc::new(selection.clone());
-        let bytes = encode_selection(key, &selection);
-        self.write_entry(&self.selection_path(key), &bytes)?;
-        self.memory.insert(
-            MemoryKey::Selection(key.clone()),
-            MemoryArtifact::Selection(selection),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
+        self.store(key, selection)
     }
 
-    /// [`lookup_selection`](Self::lookup_selection) on the
-    /// degrade-to-recompute paths; see
-    /// [`lookup_profile_degraded`](Self::lookup_profile_degraded).
-    fn lookup_selection_degraded(
-        &self,
-        key: &SelectionCacheKey,
-    ) -> Option<(Arc<BarrierPointSelection>, bool)> {
-        match self.lookup_selection(key) {
-            Ok(found) => found,
-            Err(_) => {
-                bump(&self.stats.degraded_loads);
-                None
-            }
-        }
+    /// [`load`](Self::load) of a simulated leg.
+    ///
+    /// # Errors
+    ///
+    /// As for [`load`](Self::load).
+    pub fn load_simulated(&self, key: &SimulatedCacheKey) -> Result<Option<Arc<Simulated>>, Error> {
+        self.load(key)
     }
 
-    /// [`load_selection`](Self::load_selection) with hit/miss accounting —
-    /// the sweep's logical selection lookup.  The selection key is derivable
-    /// without the profile, so a sweep whose selection is cached never
-    /// touches (or recomputes) the profile at all.  Degrades I/O failures
-    /// to misses.
-    pub(crate) fn probe_selection(
+    /// [`store`](Self::store) of a simulated leg.
+    ///
+    /// # Errors
+    ///
+    /// As for [`store`](Self::store).
+    pub fn store_simulated(
         &self,
-        key: &SelectionCacheKey,
-    ) -> Result<Option<Arc<BarrierPointSelection>>, Error> {
-        match self.lookup_selection_degraded(key) {
-            Some((selection, true)) => {
-                bump(&self.stats.selection_memory_hits);
-                Ok(Some(selection))
-            }
-            Some((selection, false)) => {
-                bump(&self.stats.selection_hits);
-                Ok(Some(selection))
-            }
-            None => {
-                bump(&self.stats.selection_misses);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Write-through store of an already-shared selection (no deep copy).
-    /// Disk failures degrade; the memory tier is populated either way.
-    pub(crate) fn store_selection_arc(
-        &self,
-        key: &SelectionCacheKey,
-        selection: &Arc<BarrierPointSelection>,
+        key: &SimulatedCacheKey,
+        simulated: &Simulated,
     ) -> Result<(), Error> {
-        let bytes = encode_selection(key, selection);
-        self.write_entry_degraded(&self.selection_path(key), &bytes);
-        self.memory.insert(
-            MemoryKey::Selection(key.clone()),
-            MemoryArtifact::Selection(selection.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
+        self.store(key, simulated)
+    }
+
+    /// [`load`](Self::load) of region-segment checkpoints.
+    ///
+    /// # Errors
+    ///
+    /// As for [`load`](Self::load).
+    pub fn load_checkpoint(
+        &self,
+        key: &CheckpointCacheKey,
+    ) -> Result<Option<Arc<WorkloadCheckpoints>>, Error> {
+        self.load(key)
+    }
+
+    /// [`store`](Self::store) of region-segment checkpoints.
+    ///
+    /// # Errors
+    ///
+    /// As for [`store`](Self::store).
+    pub fn store_checkpoint(
+        &self,
+        key: &CheckpointCacheKey,
+        checkpoints: &WorkloadCheckpoints,
+    ) -> Result<(), Error> {
+        self.store(key, checkpoints)
     }
 
     /// Returns the cached profile for `workload`, profiling (under `policy`)
@@ -1328,303 +1355,9 @@ impl ArtifactCache {
         workload: &W,
         policy: &ExecutionPolicy,
     ) -> Result<(Arc<ApplicationProfile>, bool), Error> {
-        let key = ProfileCacheKey::for_workload(workload);
-        match self.lookup_profile_degraded(&key) {
-            Some((profile, true)) => {
-                bump(&self.stats.profile_memory_hits);
-                Ok((profile, true))
-            }
-            Some((profile, false)) => {
-                bump(&self.stats.profile_hits);
-                Ok((profile, true))
-            }
-            None => {
-                bump(&self.stats.profile_misses);
-                let profile = Arc::new(profile_application_with(workload, policy)?);
-                self.store_profile_arc(&key, &profile)?;
-                Ok((profile, false))
-            }
-        }
-    }
-
-    /// Drops the profile stored under `key` from **both** tiers, so the
-    /// next lookup recomputes (or re-walks) it.  Returns whether any tier
-    /// held the entry.  A disk removal failure other than the entry not
-    /// existing is swallowed — invalidation is best-effort, exactly like
-    /// eviction — but the memory tier drop always happens, so in-process
-    /// lookups can never resurrect the invalidated artifact.
-    ///
-    /// The segment-parallelism bench uses this to force a re-profile that
-    /// exercises the checkpoint path; the checkpoints themselves are keyed
-    /// separately and survive.
-    pub fn invalidate_profile(&self, key: &ProfileCacheKey) -> bool {
-        let in_memory = self.memory.remove(&MemoryKey::Profile(key.clone()));
-        let on_disk = self.storage.remove_file(&self.profile_path(key)).is_ok();
-        in_memory || on_disk
-    }
-
-    /// Tiered checkpoint lookup; see [`lookup_profile`](Self::lookup_profile).
-    fn lookup_checkpoint(
-        &self,
-        key: &CheckpointCacheKey,
-    ) -> Result<Option<(Arc<WorkloadCheckpoints>, bool)>, Error> {
-        if let Some(MemoryArtifact::Checkpoint(checkpoints)) =
-            self.memory.get(&MemoryKey::Checkpoint(key.clone()))
-        {
-            return Ok(Some((checkpoints, true)));
-        }
-        let path = self.checkpoint_path(key);
-        let Some(bytes) = self.read_entry(&path)? else { return Ok(None) };
-        let Some(checkpoints) = decode_checkpoint(&bytes, key) else { return Ok(None) };
-        self.touch_entry(&path);
-        let checkpoints = Arc::new(checkpoints);
-        self.memory.insert(
-            MemoryKey::Checkpoint(key.clone()),
-            MemoryArtifact::Checkpoint(checkpoints.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(Some((checkpoints, false)))
-    }
-
-    /// Looks up the region-segment checkpoints stored under `key`, in
-    /// either tier; `Ok(None)` on any miss (stale version, corrupt payload,
-    /// wrong key).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ProfileCache`] for I/O failures other than the entry
-    /// not existing.
-    pub fn load_checkpoint(
-        &self,
-        key: &CheckpointCacheKey,
-    ) -> Result<Option<Arc<WorkloadCheckpoints>>, Error> {
-        Ok(self.lookup_checkpoint(key)?.map(|(checkpoints, _)| checkpoints))
-    }
-
-    /// Persists `checkpoints` under `key` in both tiers.  Does not degrade;
-    /// see [`store`](Self::store).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ProfileCache`] on I/O failure (after bounded
-    /// transient retries).
-    pub fn store_checkpoint(
-        &self,
-        key: &CheckpointCacheKey,
-        checkpoints: &WorkloadCheckpoints,
-    ) -> Result<(), Error> {
-        let checkpoints = Arc::new(checkpoints.clone());
-        let bytes = encode_checkpoint(key, &checkpoints);
-        self.write_entry(&self.checkpoint_path(key), &bytes)?;
-        self.memory.insert(
-            MemoryKey::Checkpoint(key.clone()),
-            MemoryArtifact::Checkpoint(checkpoints),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
-    }
-
-    /// [`lookup_checkpoint`](Self::lookup_checkpoint) on the
-    /// degrade-to-recompute paths; see
-    /// [`lookup_profile_degraded`](Self::lookup_profile_degraded).
-    fn lookup_checkpoint_degraded(
-        &self,
-        key: &CheckpointCacheKey,
-    ) -> Option<(Arc<WorkloadCheckpoints>, bool)> {
-        match self.lookup_checkpoint(key) {
-            Ok(found) => found,
-            Err(_) => {
-                bump(&self.stats.degraded_loads);
-                None
-            }
-        }
-    }
-
-    /// [`load_checkpoint`](Self::load_checkpoint) with hit/miss accounting
-    /// — the sweep's logical checkpoint lookup on a profile or warmup
-    /// re-walk.  Degrades I/O failures to misses: checkpoints are purely an
-    /// accelerator, a miss only costs the sequential walk.
-    pub(crate) fn probe_checkpoint(
-        &self,
-        key: &CheckpointCacheKey,
-    ) -> Result<Option<Arc<WorkloadCheckpoints>>, Error> {
-        match self.lookup_checkpoint_degraded(key) {
-            Some((checkpoints, true)) => {
-                bump(&self.stats.checkpoint_memory_hits);
-                Ok(Some(checkpoints))
-            }
-            Some((checkpoints, false)) => {
-                bump(&self.stats.checkpoint_hits);
-                Ok(Some(checkpoints))
-            }
-            None => {
-                bump(&self.stats.checkpoint_misses);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Write-through store of already-shared checkpoints (no deep copy).
-    /// Disk failures degrade; the memory tier is populated either way.
-    pub(crate) fn store_checkpoint_arc(
-        &self,
-        key: &CheckpointCacheKey,
-        checkpoints: &Arc<WorkloadCheckpoints>,
-    ) -> Result<(), Error> {
-        let bytes = encode_checkpoint(key, checkpoints);
-        self.write_entry_degraded(&self.checkpoint_path(key), &bytes);
-        self.memory.insert(
-            MemoryKey::Checkpoint(key.clone()),
-            MemoryArtifact::Checkpoint(checkpoints.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
-    }
-
-    /// Tiered simulated-leg lookup; see
-    /// [`lookup_profile`](Self::lookup_profile).
-    fn lookup_simulated(
-        &self,
-        key: &SimulatedCacheKey,
-    ) -> Result<Option<(Arc<Simulated>, bool)>, Error> {
-        if let Some(MemoryArtifact::Simulated(simulated)) =
-            self.memory.get(&MemoryKey::Simulated(key.clone()))
-        {
-            return Ok(Some((simulated, true)));
-        }
-        let path = self.simulated_path(key);
-        let Some(bytes) = self.read_entry(&path)? else { return Ok(None) };
-        let Some(simulated) = decode_simulated(&bytes, key) else { return Ok(None) };
-        self.touch_entry(&path);
-        let simulated = Arc::new(simulated);
-        self.memory.insert(
-            MemoryKey::Simulated(key.clone()),
-            MemoryArtifact::Simulated(simulated.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(Some((simulated, false)))
-    }
-
-    /// Looks up the simulated leg stored under `key`, in either tier;
-    /// `Ok(None)` on any miss (stale version, corrupt payload, wrong key).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ProfileCache`] for I/O failures other than the entry
-    /// not existing.
-    pub fn load_simulated(&self, key: &SimulatedCacheKey) -> Result<Option<Arc<Simulated>>, Error> {
-        Ok(self.lookup_simulated(key)?.map(|(simulated, _)| simulated))
-    }
-
-    /// Persists `simulated` under `key` in both tiers.  Does not degrade;
-    /// see [`store`](Self::store).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ProfileCache`] on I/O failure (after bounded
-    /// transient retries).
-    pub fn store_simulated(
-        &self,
-        key: &SimulatedCacheKey,
-        simulated: &Simulated,
-    ) -> Result<(), Error> {
-        let simulated = Arc::new(simulated.clone());
-        let bytes = encode_simulated(key, &simulated);
-        self.write_entry(&self.simulated_path(key), &bytes)?;
-        self.memory.insert(
-            MemoryKey::Simulated(key.clone()),
-            MemoryArtifact::Simulated(simulated),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
-    }
-
-    /// Write-through store of an already-shared simulated leg (no deep
-    /// copy).  Disk failures degrade; the memory tier is populated either
-    /// way.
-    pub(crate) fn store_simulated_arc(
-        &self,
-        key: &SimulatedCacheKey,
-        simulated: &Arc<Simulated>,
-    ) -> Result<(), Error> {
-        let bytes = encode_simulated(key, simulated);
-        self.write_entry_degraded(&self.simulated_path(key), &bytes);
-        self.memory.insert(
-            MemoryKey::Simulated(key.clone()),
-            MemoryArtifact::Simulated(simulated.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
-    }
-
-    /// [`lookup_simulated`](Self::lookup_simulated) on the
-    /// degrade-to-recompute paths; see
-    /// [`lookup_profile_degraded`](Self::lookup_profile_degraded).
-    fn lookup_simulated_degraded(&self, key: &SimulatedCacheKey) -> Option<(Arc<Simulated>, bool)> {
-        match self.lookup_simulated(key) {
-            Ok(found) => found,
-            Err(_) => {
-                bump(&self.stats.degraded_loads);
-                None
-            }
-        }
-    }
-
-    /// [`load_simulated`](Self::load_simulated) with per-tier hit/miss
-    /// accounting: every *logical* simulated-leg lookup goes through here
-    /// exactly once (the sweep probes legs up front so it can skip the
-    /// warmup collection of fully cached legs; the staged API probes through
-    /// [`load_or_simulate`](Self::load_or_simulate)).  Degrades I/O
-    /// failures to misses.
-    pub(crate) fn probe_simulated(
-        &self,
-        key: &SimulatedCacheKey,
-    ) -> Result<Option<Arc<Simulated>>, Error> {
-        match self.lookup_simulated_degraded(key) {
-            Some((simulated, true)) => {
-                bump(&self.stats.simulated_memory_hits);
-                Ok(Some(simulated))
-            }
-            Some((simulated, false)) => {
-                bump(&self.stats.simulated_hits);
-                Ok(Some(simulated))
-            }
-            None => {
-                bump(&self.stats.simulated_misses);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Returns the cached simulated leg under `key`, running `simulate` and
-    /// populating both tiers on a miss.  The boolean is `true` when the leg
-    /// came from the cache — the detailed simulation (and its warmup
-    /// collection) was skipped entirely.  Cache I/O failures degrade to
-    /// recomputation; see [`load_or_profile`](Self::load_or_profile).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `simulate`'s error.
-    pub fn load_or_simulate<F>(
-        &self,
-        key: &SimulatedCacheKey,
-        simulate: F,
-    ) -> Result<(Arc<Simulated>, bool), Error>
-    where
-        F: FnOnce() -> Result<Arc<Simulated>, Error>,
-    {
-        if let Some(simulated) = self.probe_simulated(key)? {
-            return Ok((simulated, true));
-        }
-        let simulated = simulate()?;
-        self.store_simulated_arc(key, &simulated)?;
-        Ok((simulated, false))
+        self.load_or_compute(&ProfileCacheKey::for_workload(workload), || {
+            Ok(Arc::new(profile_application_with(workload, policy)?))
+        })
     }
 
     /// Returns the cached barrierpoint selection of `profile` (profiled from
@@ -1645,23 +1378,45 @@ impl ArtifactCache {
         strategy: &dyn SelectionStrategy,
     ) -> Result<(Arc<BarrierPointSelection>, bool), Error> {
         let key = SelectionCacheKey::for_workload(workload, signature_config, strategy);
-        match self.lookup_selection_degraded(&key) {
-            Some((selection, true)) => {
-                bump(&self.stats.selection_memory_hits);
-                Ok((selection, true))
-            }
-            Some((selection, false)) => {
-                bump(&self.stats.selection_hits);
-                Ok((selection, true))
-            }
-            None => {
-                bump(&self.stats.selection_misses);
-                let selection =
-                    Arc::new(select_barrierpoints_with(profile, signature_config, strategy)?);
-                self.store_selection_arc(&key, &selection)?;
-                Ok((selection, false))
-            }
-        }
+        self.load_or_compute(&key, || {
+            Ok(Arc::new(select_barrierpoints_with(profile, signature_config, strategy)?))
+        })
+    }
+
+    /// Returns the cached simulated leg under `key`, running `simulate` and
+    /// populating both tiers on a miss.  The boolean is `true` when the leg
+    /// came from the cache — the detailed simulation (and its warmup
+    /// collection) was skipped entirely.  Cache I/O failures degrade to
+    /// recomputation; see [`load_or_profile`](Self::load_or_profile).
+    ///
+    /// # Errors
+    ///
+    /// Propagates `simulate`'s error.
+    pub fn load_or_simulate<F>(
+        &self,
+        key: &SimulatedCacheKey,
+        simulate: F,
+    ) -> Result<(Arc<Simulated>, bool), Error>
+    where
+        F: FnOnce() -> Result<Arc<Simulated>, Error>,
+    {
+        self.load_or_compute(key, simulate)
+    }
+
+    /// Drops the profile stored under `key` from **both** tiers, so the
+    /// next lookup recomputes (or re-walks) it.  Returns whether any tier
+    /// held the entry.  A disk removal failure other than the entry not
+    /// existing is swallowed — invalidation is best-effort, exactly like
+    /// eviction — but the memory tier drop always happens, so in-process
+    /// lookups can never resurrect the invalidated artifact.
+    ///
+    /// The segment-parallelism bench uses this to force a re-profile that
+    /// exercises the checkpoint path; the checkpoints themselves are keyed
+    /// separately and survive.
+    pub fn invalidate_profile(&self, key: &ProfileCacheKey) -> bool {
+        let in_memory = self.memory.remove(&MemoryKey::of(key));
+        let on_disk = self.storage.remove_file(&self.path(key)).is_ok();
+        in_memory || on_disk
     }
 }
 
@@ -1759,161 +1514,41 @@ fn decode_state(bytes: &[u8]) -> Option<CacheStats> {
     Some(CacheStats::from_array(values))
 }
 
-fn encode_profile(key: &ProfileCacheKey, profile: &ApplicationProfile) -> Vec<u8> {
+/// The header of `key`'s entry: magic, [`FORMAT_VERSION`], the key's
+/// workload name, thread count and identity words.
+fn header<K: ArtifactKey>(key: &K) -> serde::Serializer {
+    let (workload_name, threads, words) = key.identity();
     let mut out = serde::Serializer::new();
-    out.write_bytes(PROFILE_MAGIC);
+    out.write_bytes(K::MAGIC);
     out.write_u32(FORMAT_VERSION);
-    out.write_str(&key.workload_name);
-    out.write_u64(key.threads as u64);
-    out.write_u64(key.fingerprint);
-    serde::Serialize::serialize(profile, &mut out);
+    out.write_str(workload_name);
+    out.write_u64(threads as u64);
+    for &word in &words[..K::WORDS] {
+        out.write_u64(word);
+    }
+    out
+}
+
+/// Encodes one entry of any kind: its [`header`], the artifact's payload,
+/// sealed with a checksum.
+fn encode<K: ArtifactKey>(key: &K, artifact: &K::Artifact) -> Vec<u8> {
+    let mut out = header(key);
+    serde::Serialize::serialize(artifact, &mut out);
     seal(out.into_bytes())
 }
 
-/// Decodes a profile entry, returning `None` for anything that does not match
-/// `key` exactly (wrong magic/version/key, torn or trailing bytes).
-fn decode_profile(bytes: &[u8], key: &ProfileCacheKey) -> Option<ApplicationProfile> {
-    let mut de = serde::Deserializer::new(verify_seal(bytes)?);
-    if de.read_bytes(PROFILE_MAGIC.len()).ok()? != PROFILE_MAGIC {
-        return None;
-    }
-    if de.read_u32().ok()? != FORMAT_VERSION {
-        return None;
-    }
-    if de.read_string().ok()? != key.workload_name {
-        return None;
-    }
-    if de.read_u64().ok()? != key.threads as u64 {
-        return None;
-    }
-    if de.read_u64().ok()? != key.fingerprint {
-        return None;
-    }
-    let profile: ApplicationProfile = serde::Deserialize::deserialize(&mut de).ok()?;
+/// Decodes an entry, returning `None` for anything that does not match
+/// `key` exactly (wrong magic/version/key, torn or trailing bytes).  The
+/// header encoding is canonical, so matching the expected header bytes is
+/// matching every header field.
+fn decode<K: ArtifactKey>(bytes: &[u8], key: &K) -> Option<K::Artifact> {
+    let payload = verify_seal(bytes)?.strip_prefix(header(key).into_bytes().as_slice())?;
+    let mut de = serde::Deserializer::new(payload);
+    let artifact: K::Artifact = serde::Deserialize::deserialize(&mut de).ok()?;
     if de.remaining() != 0 {
         return None;
     }
-    Some(profile)
-}
-
-fn encode_selection(key: &SelectionCacheKey, selection: &BarrierPointSelection) -> Vec<u8> {
-    let mut out = serde::Serializer::new();
-    out.write_bytes(SELECTION_MAGIC);
-    out.write_u32(FORMAT_VERSION);
-    out.write_str(&key.workload_name);
-    out.write_u64(key.threads as u64);
-    out.write_u64(key.profile_fingerprint);
-    out.write_u64(key.config_fingerprint);
-    serde::Serialize::serialize(selection, &mut out);
-    seal(out.into_bytes())
-}
-
-/// Decodes a selection entry; `None` on any mismatch, as for profiles.
-fn decode_selection(bytes: &[u8], key: &SelectionCacheKey) -> Option<BarrierPointSelection> {
-    let mut de = serde::Deserializer::new(verify_seal(bytes)?);
-    if de.read_bytes(SELECTION_MAGIC.len()).ok()? != SELECTION_MAGIC {
-        return None;
-    }
-    if de.read_u32().ok()? != FORMAT_VERSION {
-        return None;
-    }
-    if de.read_string().ok()? != key.workload_name {
-        return None;
-    }
-    if de.read_u64().ok()? != key.threads as u64 {
-        return None;
-    }
-    if de.read_u64().ok()? != key.profile_fingerprint {
-        return None;
-    }
-    if de.read_u64().ok()? != key.config_fingerprint {
-        return None;
-    }
-    let selection: BarrierPointSelection = serde::Deserialize::deserialize(&mut de).ok()?;
-    if de.remaining() != 0 {
-        return None;
-    }
-    Some(selection)
-}
-
-fn encode_simulated(key: &SimulatedCacheKey, simulated: &Simulated) -> Vec<u8> {
-    let mut out = serde::Serializer::new();
-    out.write_bytes(SIMULATED_MAGIC);
-    out.write_u32(FORMAT_VERSION);
-    out.write_str(&key.workload_name);
-    out.write_u64(key.threads as u64);
-    out.write_u64(key.workload_fingerprint);
-    out.write_u64(key.selection_fingerprint);
-    out.write_u64(key.config_fingerprint);
-    serde::Serialize::serialize(simulated, &mut out);
-    seal(out.into_bytes())
-}
-
-/// Decodes a simulated-leg entry; `None` on any mismatch, as for profiles.
-fn decode_simulated(bytes: &[u8], key: &SimulatedCacheKey) -> Option<Simulated> {
-    let mut de = serde::Deserializer::new(verify_seal(bytes)?);
-    if de.read_bytes(SIMULATED_MAGIC.len()).ok()? != SIMULATED_MAGIC {
-        return None;
-    }
-    if de.read_u32().ok()? != FORMAT_VERSION {
-        return None;
-    }
-    if de.read_string().ok()? != key.workload_name {
-        return None;
-    }
-    if de.read_u64().ok()? != key.threads as u64 {
-        return None;
-    }
-    if de.read_u64().ok()? != key.workload_fingerprint {
-        return None;
-    }
-    if de.read_u64().ok()? != key.selection_fingerprint {
-        return None;
-    }
-    if de.read_u64().ok()? != key.config_fingerprint {
-        return None;
-    }
-    let simulated: Simulated = serde::Deserialize::deserialize(&mut de).ok()?;
-    if de.remaining() != 0 {
-        return None;
-    }
-    Some(simulated)
-}
-
-fn encode_checkpoint(key: &CheckpointCacheKey, checkpoints: &WorkloadCheckpoints) -> Vec<u8> {
-    let mut out = serde::Serializer::new();
-    out.write_bytes(CHECKPOINT_MAGIC);
-    out.write_u32(FORMAT_VERSION);
-    out.write_str(&key.workload_name);
-    out.write_u64(key.threads as u64);
-    out.write_u64(key.fingerprint);
-    serde::Serialize::serialize(checkpoints, &mut out);
-    seal(out.into_bytes())
-}
-
-/// Decodes a checkpoint entry; `None` on any mismatch, as for profiles.
-fn decode_checkpoint(bytes: &[u8], key: &CheckpointCacheKey) -> Option<WorkloadCheckpoints> {
-    let mut de = serde::Deserializer::new(verify_seal(bytes)?);
-    if de.read_bytes(CHECKPOINT_MAGIC.len()).ok()? != CHECKPOINT_MAGIC {
-        return None;
-    }
-    if de.read_u32().ok()? != FORMAT_VERSION {
-        return None;
-    }
-    if de.read_string().ok()? != key.workload_name {
-        return None;
-    }
-    if de.read_u64().ok()? != key.threads as u64 {
-        return None;
-    }
-    if de.read_u64().ok()? != key.fingerprint {
-        return None;
-    }
-    let checkpoints: WorkloadCheckpoints = serde::Deserialize::deserialize(&mut de).ok()?;
-    if de.remaining() != 0 {
-        return None;
-    }
-    Some(checkpoints)
+    Some(artifact)
 }
 
 #[cfg(test)]
@@ -2075,7 +1710,7 @@ mod tests {
         let (profile, _) = cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
 
         // Truncate the entry on disk; a cold-memory handle must miss.
-        let path = cache.profile_path(&key);
+        let path = cache.path(&key);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let reopened = reopen(&cache);
@@ -2094,7 +1729,7 @@ mod tests {
         let key = ProfileCacheKey::for_workload(&w);
         cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
 
-        let path = cache.profile_path(&key);
+        let path = cache.path(&key);
         let mut bytes = fs::read(&path).unwrap();
         bytes[4] = bytes[4].wrapping_add(1); // bump the stored version
         fs::write(&path, &bytes).unwrap();
@@ -2178,7 +1813,7 @@ mod tests {
 
         // Corrupt the payload: flip a byte past the header.  A cold-memory
         // handle sees the corruption and must miss.
-        let path = cache.selection_path(&key);
+        let path = cache.path(&key);
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
@@ -2330,7 +1965,7 @@ mod tests {
 
         // Corrupt the payload: flip a byte past the header and add garbage.
         // A cold-memory handle sees the corruption and must miss.
-        let path = cache.simulated_path(&key);
+        let path = cache.path(&key);
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
@@ -2431,8 +2066,8 @@ mod tests {
         let (p_valid, _) = setup.load_or_profile(&w_valid, &ExecutionPolicy::Serial).unwrap();
         let key_corrupt = ProfileCacheKey::for_workload(&w_corrupt);
         let key_valid = ProfileCacheKey::for_workload(&w_valid);
-        let path_corrupt = setup.profile_path(&key_corrupt);
-        let path_valid = setup.profile_path(&key_valid);
+        let path_corrupt = setup.path(&key_corrupt);
+        let path_valid = setup.path(&key_valid);
 
         // Corrupt the first entry and back-date it far into the past: it is
         // now both garbage and the LRU victim-to-be.
@@ -2448,7 +2083,7 @@ mod tests {
         let selection_key =
             SelectionCacheKey::for_workload(&w_valid, &sig, &SimPointStrategy::new(sp));
         setup.store_selection(&selection_key, &selection).unwrap();
-        let path_selection = setup.selection_path(&selection_key);
+        let path_selection = setup.path(&selection_key);
         let size_selection = fs::metadata(&path_selection).unwrap().len();
         let size_valid = fs::metadata(&path_valid).unwrap().len();
         fs::remove_file(&path_selection).unwrap();
@@ -2531,11 +2166,9 @@ mod tests {
         // Measure the serialized entry sizes first.
         let sizing = temp_cache("mem-bound-sizing");
         sizing.load_or_profile(&w_a, &ExecutionPolicy::Serial).unwrap();
-        let size_a =
-            fs::metadata(sizing.profile_path(&ProfileCacheKey::for_workload(&w_a))).unwrap().len();
+        let size_a = fs::metadata(sizing.path(&ProfileCacheKey::for_workload(&w_a))).unwrap().len();
         sizing.load_or_profile(&w_b, &ExecutionPolicy::Serial).unwrap();
-        let size_b =
-            fs::metadata(sizing.profile_path(&ProfileCacheKey::for_workload(&w_b))).unwrap().len();
+        let size_b = fs::metadata(sizing.path(&ProfileCacheKey::for_workload(&w_b))).unwrap().len();
         fs::remove_dir_all(sizing.root()).ok();
 
         // Room for the larger entry but never both: inserting B evicts A
@@ -2565,9 +2198,9 @@ mod tests {
         let (profile, _) = sizing.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
         sizing.load_or_select(&profile, &w, &sig, &sp).unwrap();
         let size_profile =
-            fs::metadata(sizing.profile_path(&ProfileCacheKey::for_workload(&w))).unwrap().len();
+            fs::metadata(sizing.path(&ProfileCacheKey::for_workload(&w))).unwrap().len();
         let size_selection =
-            fs::metadata(sizing.selection_path(&SelectionCacheKey::for_workload(&w, &sig, &sp)))
+            fs::metadata(sizing.path(&SelectionCacheKey::for_workload(&w, &sig, &sp)))
                 .unwrap()
                 .len();
         fs::remove_dir_all(sizing.root()).ok();
@@ -2606,7 +2239,7 @@ mod tests {
 
         // Delete the disk entry behind the cache's back: the memory tier
         // still serves the artifact to this process.
-        fs::remove_file(cache.profile_path(&key)).unwrap();
+        fs::remove_file(cache.path(&key)).unwrap();
         let (hit, cached) = cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
         assert!(cached, "memory tier survives disk deletion");
         assert_eq!(hit, profile);
@@ -2657,7 +2290,9 @@ mod tests {
         // EINTR twice on the entry read; the bounded retry absorbs both.
         let reopened = ArtifactCache::new(cache.root()).with_storage(faults.clone());
         faults.inject(
-            Fault::fail(FaultOp::Read, ErrorKind::Interrupted).on_path(PROFILE_EXT).times(2),
+            Fault::fail(FaultOp::Read, ErrorKind::Interrupted)
+                .on_path(ProfileCacheKey::EXT)
+                .times(2),
         );
         let (_, cached) = reopened.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
         assert!(cached, "transient faults within the retry bound stay invisible");
@@ -2697,7 +2332,9 @@ mod tests {
         cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
 
         let reopened = ArtifactCache::new(cache.root()).with_storage(faults.clone());
-        faults.inject(Fault::fail(FaultOp::Read, ErrorKind::PermissionDenied).on_path(PROFILE_EXT));
+        faults.inject(
+            Fault::fail(FaultOp::Read, ErrorKind::PermissionDenied).on_path(ProfileCacheKey::EXT),
+        );
         let (_, cached) = reopened.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
         assert!(!cached, "an unreadable entry is a miss, not an error");
         assert_eq!(reopened.stats().degraded_loads, 1);
@@ -2744,7 +2381,7 @@ mod tests {
         assert_eq!(cache.stats().lock_contended, 1);
         assert_eq!(cache.stats().evictions, 0, "the guarded eviction scan was skipped");
         let key = ProfileCacheKey::for_workload(&w);
-        assert!(cache.profile_path(&key).exists(), "the store itself must still land");
+        assert!(cache.path(&key).exists(), "the store itself must still land");
         fs::remove_dir_all(cache.root()).ok();
     }
 
@@ -2857,16 +2494,13 @@ mod tests {
         let w = workload(0.02);
         let key = ProfileCacheKey::for_workload(&w);
         let profile = profile_application(&w).unwrap();
-        let encoded = encode_profile(&key, &profile);
+        let encoded = encode(&key, &profile);
         // Sampling every 97th bit keeps the profile sweep fast while still
         // covering header, payload, and checksum regions.
         for bit_index in (0..encoded.len() * 8).step_by(97) {
             let mut flipped = encoded.clone();
             flipped[bit_index / 8] ^= 1 << (bit_index % 8);
-            assert!(
-                decode_profile(&flipped, &key).is_none(),
-                "flip of bit {bit_index} must not decode"
-            );
+            assert!(decode(&flipped, &key).is_none(), "flip of bit {bit_index} must not decode");
         }
     }
 
@@ -2899,20 +2533,20 @@ mod tests {
         let w = workload(0.02);
         let key = CheckpointCacheKey::for_workload(&w);
 
-        assert_eq!(cache.probe_checkpoint(&key).unwrap(), None);
+        assert_eq!(cache.probe(&key), None);
         assert_eq!(cache.stats().checkpoint_misses, 1);
 
         let ckpts = checkpoints_for(&w);
         cache.store_checkpoint(&key, &ckpts).unwrap();
         // Same handle: the store wrote through to the memory tier.
-        let hit = cache.probe_checkpoint(&key).unwrap().expect("stored entry must hit");
+        let hit = cache.probe(&key).expect("stored entry must hit");
         assert_eq!(*hit, ckpts);
         assert_eq!(cache.stats().checkpoint_memory_hits, 1);
         assert_eq!(cache.stats().checkpoint_hits, 0);
 
         // A reopened handle decodes the identical artifact from disk.
         let reopened = reopen(&cache);
-        let disk = reopened.probe_checkpoint(&key).unwrap().expect("disk tier must serve");
+        let disk = reopened.probe(&key).expect("disk tier must serve");
         assert_eq!(*disk, ckpts);
         assert_eq!(reopened.stats().checkpoint_hits, 1);
         assert_eq!(reopened.stats().checkpoint_memory_hits, 0);
@@ -2927,7 +2561,7 @@ mod tests {
         let key_large = CheckpointCacheKey::for_workload(&large);
         assert_ne!(key_small, key_large, "distinct content must not alias");
         assert_ne!(key_small.file_name(), key_large.file_name());
-        assert!(key_small.file_name().ends_with(CHECKPOINT_EXT));
+        assert!(key_small.file_name().ends_with(CheckpointCacheKey::EXT));
         // Same identity fields as the profile key: config knobs play no part.
         let profile_key = ProfileCacheKey::for_workload(&small);
         assert_eq!(key_small.workload_name(), profile_key.workload_name());
@@ -2941,7 +2575,7 @@ mod tests {
         let key = CheckpointCacheKey::for_workload(&w);
         let ckpts = checkpoints_for(&w);
         cache.store_checkpoint(&key, &ckpts).unwrap();
-        let path = cache.checkpoint_path(&key);
+        let path = cache.path(&key);
         let pristine = fs::read(&path).unwrap();
 
         // Truncation, a payload bit flip plus trailing garbage, and a stale
@@ -2997,11 +2631,11 @@ mod tests {
 
         // Orphan cleanup: a stale bpckpt tmp file is reaped by the next
         // store's scan, a fresh one survives.
-        let orphan = cache.root().join(format!("x.{CHECKPOINT_EXT}.tmp-99999"));
+        let orphan = cache.root().join(format!("x.{}.tmp-99999", CheckpointCacheKey::EXT));
         fs::write(&orphan, b"torn").unwrap();
         let old = SystemTime::now() - Duration::from_secs(120);
         fs::OpenOptions::new().write(true).open(&orphan).unwrap().set_modified(old).unwrap();
-        let live = cache.root().join(format!("y.{CHECKPOINT_EXT}.tmp-88888"));
+        let live = cache.root().join(format!("y.{}.tmp-88888", CheckpointCacheKey::EXT));
         fs::write(&live, b"in-flight").unwrap();
         cache.store_checkpoint(&ckpt_key, &ckpts).unwrap();
         assert!(!orphan.exists(), "stale ckpt tmp orphan must be reaped");
@@ -3041,22 +2675,19 @@ mod tests {
 
         let reopened = ArtifactCache::new(cache.root()).with_storage(faults.clone());
         faults.inject(
-            Fault::fail(FaultOp::Read, ErrorKind::PermissionDenied).on_path(CHECKPOINT_EXT),
+            Fault::fail(FaultOp::Read, ErrorKind::PermissionDenied)
+                .on_path(CheckpointCacheKey::EXT),
         );
-        assert_eq!(
-            reopened.probe_checkpoint(&key).unwrap(),
-            None,
-            "an unreadable checkpoint is a miss, not an error"
-        );
+        assert_eq!(reopened.probe(&key), None, "an unreadable checkpoint is a miss, not an error");
         assert_eq!(reopened.stats().degraded_loads, 1);
         assert_eq!(reopened.stats().checkpoint_misses, 1);
 
         // Stores degrade too: the memory tier still serves this process.
         faults.inject(Fault::fail(FaultOp::Write, ErrorKind::StorageFull));
         let degraded = ArtifactCache::new(cache.root()).with_storage(faults.clone());
-        degraded.store_checkpoint_arc(&key, &Arc::new(ckpts.clone())).unwrap();
+        degraded.store_arc(&key, &Arc::new(ckpts.clone()));
         assert_eq!(degraded.stats().degraded_stores, 1);
-        assert_eq!(*degraded.probe_checkpoint(&key).unwrap().unwrap(), ckpts);
+        assert_eq!(*degraded.probe(&key).unwrap(), ckpts);
         fs::remove_dir_all(cache.root()).ok();
     }
 }

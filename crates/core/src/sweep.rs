@@ -382,13 +382,13 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
         let mut selections: Vec<Option<Arc<BarrierPointSelection>>> = vec![None; strategies.len()];
         if let Some(cache) = self.base.cache() {
             for (slot, key) in selections.iter_mut().zip(&statics.selection_keys) {
-                *slot = cache.probe_selection(key)?;
+                *slot = cache.probe(key);
             }
         }
         let mut clustering_passes = 0;
         if selections.iter().any(Option::is_none) {
             let cached_profile = match self.base.cache() {
-                Some(cache) => cache.probe_profile(&statics.profile_key)?,
+                Some(cache) => cache.probe(&statics.profile_key),
                 None => None,
             };
             let profile = match cached_profile {
@@ -412,7 +412,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                     // re-stores refreshed (larger-capacity) checkpoints.
                     let checkpoints = match self.base.cache() {
                         Some(cache) => cache
-                            .probe_checkpoint(&statics.checkpoint_key)?
+                            .probe(&statics.checkpoint_key)
                             .filter(|c| c.covers(workload, max_capacity)),
                         None => None,
                     };
@@ -459,10 +459,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                                 warmup_collections += 1;
                                 fused_bank = Some(bank);
                                 if let Some(cache) = self.base.cache() {
-                                    cache.store_checkpoint_arc(
-                                        &statics.checkpoint_key,
-                                        &Arc::new(ckpts),
-                                    )?;
+                                    cache.store_arc(&statics.checkpoint_key, &Arc::new(ckpts));
                                 }
                                 Arc::new(profile)
                             } else {
@@ -475,7 +472,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                         }
                     };
                     if let Some(cache) = self.base.cache() {
-                        cache.store_profile_arc(&statics.profile_key, &profile)?;
+                        cache.store_arc(&statics.profile_key, &profile);
                     }
                     profile
                 }
@@ -489,7 +486,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                     )?);
                     clustering_passes += 1;
                     if let Some(cache) = self.base.cache() {
-                        cache.store_selection_arc(&statics.selection_keys[s], &selection)?;
+                        cache.store_arc(&statics.selection_keys[s], &selection);
                     }
                     *slot = Some(selection);
                 }
@@ -552,7 +549,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
         match self.base.cache() {
             Some(cache) => {
                 for (u, (rep, indices)) in unique.iter().enumerate() {
-                    match cache.probe_simulated(&keys[*rep])? {
+                    match cache.probe(&keys[*rep]) {
                         Some(simulated) => {
                             simulated_cache_hits += indices.len();
                             for &i in indices {
@@ -672,7 +669,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                     let group_max = capacities.iter().copied().max().unwrap_or(0);
                     let checkpoints = match self.base.cache() {
                         Some(cache) => cache
-                            .probe_checkpoint(&statics.checkpoint_key)?
+                            .probe(&statics.checkpoint_key)
                             .filter(|c| c.covers(workload, group_max)),
                         None => None,
                     };
@@ -784,7 +781,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                 metrics,
             )?);
             if let Some(cache) = self.base.cache() {
-                cache.store_simulated_arc(&keys[*rep], &simulated)?;
+                cache.store_arc(&keys[*rep], &simulated);
             }
             for &i in indices {
                 results[i] = Some(simulated.clone());
