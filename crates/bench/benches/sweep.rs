@@ -26,10 +26,14 @@
 //! one explicit sample loop (one untimed warmup + 5 timed runs), like the
 //! profiling bench.
 
-use barrierpoint::{ArtifactCache, BarrierPoint, ExecutionPolicy, SimConfig, Sweep, WorkerBudget};
+use barrierpoint::{
+    ArtifactCache, BarrierPoint, ExecutionPolicy, Observe, SimConfig, SimPointStrategy, Sweep,
+    WalkPlan, WorkerBudget,
+};
 use bp_bench::{sweep_machine_variants, ExperimentConfig};
 use bp_workload::{Benchmark, Workload, WorkloadConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn bench_sweep(_c: &mut Criterion) {
@@ -293,22 +297,21 @@ fn bench_sweep(_c: &mut Criterion) {
         .unwrap()
         .expect("the cold sweep must have stored segment checkpoints");
     let segment_walks_per_reprofile = checkpoints.segment_jobs();
-    let sequential_profile =
-        barrierpoint::profile_application_budgeted(&workload, &policy, None).unwrap();
-    let segmented_profile =
-        barrierpoint::profile_application_segmented(&workload, &checkpoints, &policy, None)
-            .unwrap();
+    let reprofile = |plan| {
+        barrierpoint::walk(&workload, plan, Observe::Profile, &policy, None).unwrap().profile
+    };
+    let sequential_profile = reprofile(WalkPlan::Cold { segments: 1 });
+    let segmented_profile = reprofile(WalkPlan::Resume(&checkpoints));
     // CI smoke assertion: segmented walks are bit-identical to sequential.
     assert_eq!(
         segmented_profile, sequential_profile,
         "segmented re-profile must be bit-identical to the sequential walk"
     );
     let sequential_reprofile = median(&|| {
-        barrierpoint::profile_application_budgeted(&workload, &policy, None).unwrap();
+        reprofile(WalkPlan::Cold { segments: 1 });
     });
     let segmented_reprofile = median(&|| {
-        barrierpoint::profile_application_segmented(&workload, &checkpoints, &policy, None)
-            .unwrap();
+        reprofile(WalkPlan::Resume(&checkpoints));
     });
     println!("sweep/sequential_reprofile {sequential_reprofile:>43.2?}");
     println!("sweep/segmented_reprofile {segmented_reprofile:>44.2?}");
@@ -322,7 +325,7 @@ fn bench_sweep(_c: &mut Criterion) {
     let segmented_report = {
         let mut sweep = Sweep::new(&workload)
             .with_execution_policy(policy)
-            .with_simpoint_config(reclustered)
+            .with_selection_strategy(Arc::new(SimPointStrategy::new(reclustered)))
             .with_cache(memory_cache.clone());
         for (label, machine) in &variants {
             sweep = sweep.add_config(*label, *machine);
@@ -340,8 +343,9 @@ fn bench_sweep(_c: &mut Criterion) {
     );
     assert!(segmented_counters.checkpoint_hits > 0, "segments must resume from checkpoints");
     let sequential_report = {
-        let mut sweep =
-            Sweep::new(&workload).with_execution_policy(policy).with_simpoint_config(reclustered);
+        let mut sweep = Sweep::new(&workload)
+            .with_execution_policy(policy)
+            .with_selection_strategy(Arc::new(SimPointStrategy::new(reclustered)));
         for (label, machine) in &variants {
             sweep = sweep.add_config(*label, *machine);
         }

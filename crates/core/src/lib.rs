@@ -30,9 +30,9 @@
 //! selection are machine-independent (Section III / Figure 6), so one
 //! [`Selected`] fans out to any number of [`Selected::simulate`] legs —
 //! and [`Sweep`] packages that fan-out: given N machine configurations it
-//! walks each per-thread trace **once** (the fused cold pass,
-//! [`profile_and_collect_warmup`], feeds the signature profiler and the
-//! MRU warmup collector from one trace generation; legs differing in LLC
+//! walks each per-thread trace **once** (the fused cold pass of the one
+//! walk engine, [`walk`], feeds the signature profiler and the MRU warmup
+//! collector from one trace generation; legs differing in LLC
 //! capacity share it too, smaller capacities falling out by truncation),
 //! clusters once, and simulates the legs in parallel under one shared,
 //! work-stealing [`WorkerBudget`] ([`SweepReport`] — whose
@@ -133,14 +133,12 @@ pub use cache::{
 pub use error::{classify_io_error, Error, IoErrorClass};
 pub use pipeline::{BarrierPoint, BarrierPointOutcome};
 pub use profile::{
-    profile_and_collect_warmup, profile_application, profile_application_budgeted,
-    profile_application_with, ApplicationProfile,
+    profile_and_collect_warmup, profile_application, profile_application_with, ApplicationProfile,
 };
 pub use reconstruct::{reconstruct, reconstruct_with_mode, ReconstructedRun, ScalingMode};
 pub use segment::{
-    checkpoint_cuts, collect_warmup_bank_segmented, profile_and_collect_warmup_checkpointed,
-    profile_and_collect_warmup_segmented, profile_application_segmented, WorkloadCheckpoints,
-    DEFAULT_SEGMENTS,
+    checkpoint_cuts, profile_and_collect_warmup_checkpointed, profile_and_collect_warmup_segmented,
+    walk, Observe, WalkPlan, Walked, WorkloadCheckpoints, DEFAULT_SEGMENTS,
 };
 pub use select::{
     select_barrierpoints, select_barrierpoints_with, BarrierPointInfo, BarrierPointSelection,

@@ -1,7 +1,8 @@
-use crate::cache::ArtifactCache;
+use crate::cache::{ArtifactCache, ProfileCacheKey};
 use crate::error::Error;
-use crate::profile::{profile_application_with, ApplicationProfile};
+use crate::profile::ApplicationProfile;
 use crate::reconstruct::ReconstructedRun;
+use crate::segment::{carried, walk, Observe, WalkPlan};
 use crate::select::BarrierPointSelection;
 use crate::simulate::{BarrierPointMetrics, WarmupKind};
 use crate::stages::{Profiled, Selected, Simulated};
@@ -76,15 +77,6 @@ impl<'a, W: Workload + ?Sized> BarrierPoint<'a, W> {
     pub fn with_signature_config(mut self, config: SignatureConfig) -> Self {
         self.signature_config = config;
         self
-    }
-
-    /// Overrides the SimPoint clustering parameters (Table II).
-    ///
-    /// Shorthand for [`with_selection_strategy`](Self::with_selection_strategy)
-    /// with a [`SimPointStrategy`] — prefer that method when the backend
-    /// itself should vary, not just the default backend's parameters.
-    pub fn with_simpoint_config(self, config: SimPointConfig) -> Self {
-        self.with_selection_strategy(Arc::new(SimPointStrategy::new(config)))
     }
 
     /// Replaces the barrierpoint selection backend (the default is
@@ -177,8 +169,9 @@ impl<'a, W: Workload + ?Sized> BarrierPoint<'a, W> {
     /// economy: the one trace walk per thread also feeds an interval-sharing
     /// MRU snapshot bank (collected at the effective machine's LLC
     /// capacity), which [`Selected::simulate`] then serves warmup from —
-    /// no dedicated collection walk.  A cache-served profile skips the walk
-    /// entirely and carries no bank.
+    /// no dedicated collection walk.  Any other warmup walks the profiler
+    /// alone.  A cache-served profile skips the walk entirely and carries no
+    /// bank.
     ///
     /// # Errors
     ///
@@ -186,10 +179,10 @@ impl<'a, W: Workload + ?Sized> BarrierPoint<'a, W> {
     /// Cache I/O failures degrade to recomputation (see
     /// [`CacheStats`](crate::CacheStats)) rather than failing the stage.
     pub fn profile(self) -> Result<Profiled<'a, W>, Error> {
-        let cache = self.cache.clone();
-        if let Some(cache) = &cache {
-            let key = crate::cache::ProfileCacheKey::for_workload(self.workload);
-            if let Some(profile) = cache.probe(&key) {
+        let cached =
+            self.cache.clone().map(|cache| (cache, ProfileCacheKey::for_workload(self.workload)));
+        if let Some((cache, key)) = &cached {
+            if let Some(profile) = cache.probe(key) {
                 return Ok(Profiled {
                     pipeline: self,
                     profile,
@@ -197,42 +190,22 @@ impl<'a, W: Workload + ?Sized> BarrierPoint<'a, W> {
                     warmup_bank: None,
                 });
             }
-            let (profile, bank) = self.compute_profile()?;
-            cache.store_arc(&key, &profile);
-            let profiled =
-                Profiled { pipeline: self, profile, was_cached: false, warmup_bank: None };
-            return Ok(match bank {
-                Some(bank) => profiled.with_warmup_bank(Arc::new(bank)),
-                None => profiled,
-            });
         }
-        let (profile, bank) = self.compute_profile()?;
-        let profiled = Profiled { pipeline: self, profile, was_cached: false, warmup_bank: None };
-        Ok(match bank {
-            Some(bank) => profiled.with_warmup_bank(Arc::new(bank)),
-            None => profiled,
-        })
-    }
-
-    /// The cold profiling pass: fused with MRU warmup collection over every
-    /// region boundary when the configured warmup replays MRU state, a plain
-    /// signature pass otherwise.
-    fn compute_profile(
-        &self,
-    ) -> Result<(Arc<ApplicationProfile>, Option<bp_warmup::MruSnapshotBank>), Error> {
-        if self.warmup == WarmupKind::MruReplay {
-            let sim_config = self.effective_sim_config();
-            let capacity = sim_config.memory.llc_total_lines(sim_config.num_cores);
-            let (profile, bank) = crate::profile::profile_and_collect_warmup(
-                self.workload,
-                &[capacity],
-                &self.execution,
-                None,
-            )?;
-            Ok((Arc::new(profile), Some(bank)))
-        } else {
-            Ok((Arc::new(profile_application_with(self.workload, &self.execution)?), None))
+        let every_region: Vec<usize> = (0..self.workload.num_regions()).collect();
+        let sim_config = self.effective_sim_config();
+        let capacity = sim_config.memory.llc_total_lines(sim_config.num_cores);
+        let observe = match self.warmup {
+            WarmupKind::MruReplay => Observe::Fused { boundaries: &every_region, capacity },
+            _ => Observe::Profile,
+        };
+        let plan = WalkPlan::Cold { segments: 1 };
+        let walked = walk(self.workload, plan, observe, &self.execution, None)?;
+        let profile = Arc::new(carried(walked.profile));
+        if let Some((cache, key)) = &cached {
+            cache.store_arc(key, &profile);
         }
+        let warmup_bank = walked.bank.map(Arc::new);
+        Ok(Profiled { pipeline: self, profile, was_cached: false, warmup_bank })
     }
 
     /// Runs profiling and barrierpoint selection — shorthand for
@@ -339,7 +312,9 @@ mod tests {
         let w = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
         let outcome = BarrierPoint::new(&w)
             .with_signature_config(SignatureConfig::bbv_only())
-            .with_simpoint_config(SimPointConfig::paper().with_max_k(3))
+            .with_selection_strategy(Arc::new(SimPointStrategy::new(
+                SimPointConfig::paper().with_max_k(3),
+            )))
             .with_warmup(WarmupKind::Cold)
             .with_execution_policy(ExecutionPolicy::Serial)
             .run()

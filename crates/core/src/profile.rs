@@ -1,4 +1,13 @@
+//! The one-time profile ([`ApplicationProfile`]) and its entry points.
+//!
+//! The entry points here are forwards over the walk engine
+//! ([`crate::walk`]), which makes every bp-core trace walk:
+//! [`profile_application_with`] walks the profiler alone on a cold plan,
+//! and [`profile_and_collect_warmup`] fuses it with an MRU observer over
+//! every region.
+
 use crate::error::Error;
+use crate::segment::{carried, walk, Observe, WalkPlan};
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_signature::{zip_thread_profiles, RegionSignature, SignatureConfig, SignatureVector};
 use bp_warmup::MruSnapshotBank;
@@ -95,10 +104,12 @@ pub fn profile_application<W: Workload + ?Sized>(
 ///
 /// The result is bit-identical for every policy: per-thread signature state
 /// is independent across threads, which is exactly what makes the
-/// thread-major fan-out safe.
+/// thread-major fan-out safe.  This substitutes for the paper's Pin-based
+/// profiler, which runs the real application at a 20–30x slowdown.
 ///
-/// This substitutes for the paper's Pin-based profiler, which runs the real
-/// application at a 20–30x slowdown.
+/// A forward over the walk engine ([`crate::walk`] with
+/// [`Observe::Profile`](crate::Observe::Profile) on a one-segment cold
+/// plan), which every bp-core trace walk goes through.
 ///
 /// # Errors
 ///
@@ -107,33 +118,8 @@ pub fn profile_application_with<W: Workload + ?Sized>(
     workload: &W,
     policy: &ExecutionPolicy,
 ) -> Result<ApplicationProfile, Error> {
-    profile_application_budgeted(workload, policy, None)
-}
-
-/// [`profile_application_with`] with the thread-major fan-out optionally
-/// drawing helper threads from a shared [`WorkerBudget`] — how a
-/// design-space sweep keeps even a non-fused cold profiling pass (e.g.
-/// under [`Cold`](crate::WarmupKind::Cold) warmup) inside its overall
-/// worker cap.  Output is identical for every budget.
-///
-/// # Errors
-///
-/// Returns [`Error::EmptyWorkload`] if the workload has no regions.
-pub fn profile_application_budgeted<W: Workload + ?Sized>(
-    workload: &W,
-    policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
-) -> Result<ApplicationProfile, Error> {
-    if workload.num_regions() == 0 {
-        return Err(Error::EmptyWorkload { workload: workload.name().to_string() });
-    }
-    let signatures =
-        bp_signature::collect_application_signatures_budgeted(workload, policy, budget);
-    Ok(ApplicationProfile {
-        workload_name: workload.name().to_string(),
-        threads: workload.num_threads(),
-        signatures,
-    })
+    let walked = walk(workload, WalkPlan::Cold { segments: 1 }, Observe::Profile, policy, None)?;
+    Ok(carried(walked.profile))
 }
 
 /// The fused cold pass: one walk of every per-thread trace produces **both**
@@ -141,24 +127,16 @@ pub fn profile_application_budgeted<W: Workload + ?Sized>(
 /// boundary, at the largest capacity in `capacities`.
 ///
 /// Each thread drives a [`bp_signature::ThreadProfileObserver`] and an
-/// [`bp_warmup::MruThreadObserver`] through the trace-observer engine
-/// ([`bp_workload::drive`]), so the trace is *generated* exactly once per
-/// thread — where a cold pipeline used to walk it once for profiling and
-/// again for warmup collection.  Because the barrierpoint selection is not
-/// known until the profile is clustered, the MRU observers snapshot **every**
-/// region boundary; the returned [`MruSnapshotBank`] then assembles the
-/// payload of any boundary subset at any capacity up to the collection
-/// capacity, bit-identically to a dedicated collection
-/// ([`bp_warmup::collect_mru_warmup_multi`]).
+/// [`bp_warmup::MruThreadObserver`] through one walk, so the trace is
+/// *generated* exactly once per thread.  Because the barrierpoint selection
+/// is not known until the profile is clustered, the MRU observers snapshot
+/// **every** region boundary; the returned [`MruSnapshotBank`] then
+/// assembles the payload of any boundary subset at any capacity up to the
+/// collection capacity, bit-identically to a dedicated collection.  With a
+/// [`WorkerBudget`], the walks draw helper threads from the shared pool.
 ///
-/// The fan-out is thread-major under `policy`; with a [`WorkerBudget`], the
-/// walks draw helper threads from the shared pool (the same chunked claiming
-/// every other budgeted stage uses), so a concurrent sweep's drained legs
-/// can lend workers to a cold fused pass and vice versa.
-///
-/// Both artifacts are bit-identical to the separate passes
-/// ([`profile_application_with`] and the dedicated collectors) for every
-/// policy and budget.
+/// A forward over [`crate::walk`] with
+/// [`Observe::Fused`](crate::Observe::Fused) on a one-segment cold plan.
 ///
 /// # Errors
 ///
@@ -169,10 +147,6 @@ pub fn profile_and_collect_warmup<W: Workload + ?Sized>(
     policy: &ExecutionPolicy,
     budget: Option<&WorkerBudget>,
 ) -> Result<(ApplicationProfile, MruSnapshotBank), Error> {
-    // The trace walk itself lives in `crate::segment` (the one bp-core
-    // module allowed to drive traces — the `core-drive` lint pins it);
-    // with a single segment, no checkpoint is taken and the walk is the
-    // plain fused pass.
     let (profile, bank, _) = crate::segment::profile_and_collect_warmup_checkpointed(
         workload, capacities, policy, budget, 1,
     )?;
@@ -230,7 +204,9 @@ mod tests {
         let policy = ExecutionPolicy::parallel_with(4);
         let unbudgeted = profile_application_with(&w, &policy).unwrap();
         let budget = WorkerBudget::new(2);
-        let budgeted = profile_application_budgeted(&w, &policy, Some(&budget)).unwrap();
+        let plan = WalkPlan::Cold { segments: 1 };
+        let budgeted =
+            walk(&w, plan, Observe::Profile, &policy, Some(&budget)).unwrap().profile.unwrap();
         assert_eq!(unbudgeted, budgeted);
         assert_eq!(budget.available(), 2, "all permits returned");
     }

@@ -1,38 +1,56 @@
-//! Region-segment checkpoint parallelism: split one thread's trace walk
-//! across the worker budget.
+//! The walk engine: every bp-core trace walk goes through [`walk`].
 //!
-//! The fused cold pass walks each thread's trace sequentially — the
-//! signature profiler's reuse-distance tracker and the MRU collector both
-//! carry state across regions, so a thread's walk cannot naively start in
-//! the middle.  That caps the parallelism of every *re*-walk (re-profiling
-//! under a new [`SignatureConfig`](bp_signature::SignatureConfig), a
-//! dedicated MRU collection for a new design point) at the workload's
-//! thread count, even when the [`WorkerBudget`] has more workers idle.
+//! The paper builds its one-time profile and its MRU warmup from single
+//! passes over each thread's trace.  This module is the one place in bp-core
+//! that makes those passes (the `core-drive` lint pins it), and [`walk`] is
+//! its one entry point.  A walk is three choices:
 //!
-//! This module removes the cap.  The one-time cold walk snapshots both
-//! observers' carried state every K regions
-//! ([`profile_and_collect_warmup_checkpointed`]) into a
-//! [`WorkloadCheckpoints`] artifact — a new `ckpt` kind in the
-//! [`ArtifactCache`](crate::ArtifactCache).  Every subsequent walk then
-//! fans `threads × segments` *segment jobs* onto the budget: each job
-//! constructs fresh observers, [restores](CheckpointObserver::restore) the
-//! checkpoint taken at its segment's first region, walks only that segment
-//! ([`bp_workload::drive_segment`]), and the per-segment results are
-//! stitched back ([`bp_signature::concat_thread_profiles`],
-//! [`MruSnapshotBank::from_segmented_observers`]).
+//! * **The plan** ([`WalkPlan`]): a cold walk of every thread's whole trace
+//!   from region zero, or a resume from cached [`WorkloadCheckpoints`].
+//! * **The observers** ([`Observe`]): the signature profiler
+//!   ([`ThreadProfileObserver`]), an MRU warmup observer
+//!   ([`MruThreadObserver`]) over a boundary list at one collection
+//!   capacity, or both on one walk (the fused pass).  A list of targets
+//!   stops each thread's walk after its last target; the list of every
+//!   region gives a bank that serves any boundary subset later.
+//! * **The budget**: jobs fan out under the [`ExecutionPolicy`], drawing
+//!   helper threads from a shared [`WorkerBudget`] when one is given.
 //!
-//! **Bit-identity is the contract.**  Checkpoint restoration reproduces
-//! the observers' exact carried state (including compaction timing and
-//! sequence counters), so the stitched segmented results are byte-equal to
-//! one sequential walk — pinned by the proptests here, the kernel matrix
-//! in `tests/segments.rs`, and the oracle tests in the substrate crates.
+//! The result ([`Walked`]) carries the profile, the snapshot bank and the
+//! checkpoints the walk produced, plus its walk counts, which a
+//! [`Sweep`](crate::Sweep) folds into its
+//! [`SweepCounters`](crate::SweepCounters).
+//!
+//! **Why checkpoints.**  The profiler's reuse-distance tracker and the MRU
+//! collector both carry state across regions, so a thread's walk cannot
+//! naively start in the middle.  That would cap the parallelism of every
+//! *re*-walk (re-profiling under a new
+//! [`SignatureConfig`](bp_signature::SignatureConfig), a warmup collection
+//! for a new design point) at the workload's thread count, even when the
+//! budget has more workers idle.  So a cold fused walk over every region
+//! snapshots both observers' carried state every K regions into a
+//! [`WorkloadCheckpoints`] artifact (the `ckpt` kind of the
+//! [`ArtifactCache`](crate::ArtifactCache)).  A resumed walk then fans
+//! `threads × segments` *segment jobs* onto the budget: each job constructs
+//! fresh observers, [restores](CheckpointObserver::restore) the checkpoint
+//! taken at its segment's first region, walks only that segment, and the
+//! per-segment results are stitched back
+//! ([`bp_signature::concat_thread_profiles`],
+//! [`MruSnapshotBank::from_segmented_observers`]).  A cold walk is the same
+//! machinery with one job per thread walking all of its segments in order.
+//!
+//! **Bit-identity is the contract.**  Checkpoint restoration reproduces the
+//! observers' exact carried state (including compaction timing and sequence
+//! counters), so every plan yields byte-equal artifacts — pinned by the
+//! tests here, the kernel matrix in `tests/segments.rs`, and the oracle
+//! tests in the substrate crates.
 
 use crate::error::Error;
 use crate::profile::ApplicationProfile;
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_signature::{concat_thread_profiles, ThreadProfile, ThreadProfileObserver};
 use bp_warmup::{MruSnapshotBank, MruThreadObserver};
-use bp_workload::{CheckpointObserver, Workload};
+use bp_workload::{CheckpointObserver, TraceObserver, Workload};
 
 /// Default number of segments the cold walk cuts each thread's trace into
 /// (the checkpoint interval is `ceil(regions / segments)`).  Eight keeps
@@ -188,20 +206,255 @@ impl serde::Deserialize for WorkloadCheckpoints {
     }
 }
 
-/// Maps a [`bp_workload::CheckpointError`] from a cache-served checkpoint
-/// into the pipeline error space.
-fn restore_error(thread: usize, region: usize, e: bp_workload::CheckpointError) -> Error {
-    Error::CheckpointRestore { message: format!("thread {thread} segment at region {region}: {e}") }
+/// How [`walk`] covers each thread's trace.
+#[derive(Debug, Clone, Copy)]
+pub enum WalkPlan<'c> {
+    /// One job per thread walks the whole trace from region zero.  A fused
+    /// walk over every region ([`Observe::Fused`]) also cuts the trace into
+    /// at most `segments` near-equal segments ([`checkpoint_cuts`]) and
+    /// snapshots both observers at every cut; one segment takes no
+    /// snapshot.  The snapshots only *read* state, so the walk itself is the
+    /// plain sequential pass.
+    Cold {
+        /// Upper bound on the segments the checkpoints split a trace into.
+        segments: usize,
+    },
+    /// `threads × segments` jobs, each restoring the checkpoint taken at its
+    /// segment's first region and walking only that segment.  MRU observers
+    /// collect at the checkpoints' collection capacity, which must cover
+    /// every capacity the caller assembles (see
+    /// [`WorkloadCheckpoints::covers`]).
+    Resume(&'c WorkloadCheckpoints),
 }
 
-/// The fused cold pass with checkpoint emission: identical to
-/// [`crate::profile_and_collect_warmup`] — each thread walks its whole
-/// trace once, feeding the signature profiler and the MRU collector
-/// together — but both observers additionally snapshot their carried state
-/// at every interior cut of [`checkpoint_cuts`]`(regions, max_segments)`.
-/// The walk itself is bit-identical to the uncheckpointed pass (the same
-/// observers run the same per-region protocol; snapshots only *read*
-/// state), so the profile and bank are too.
+/// Which observers ride a [`walk`].
+#[derive(Debug, Clone, Copy)]
+pub enum Observe<'b> {
+    /// The signature profiler alone: yields [`Walked::profile`].
+    Profile,
+    /// An MRU warmup observer alone, snapshotting `boundaries` at `capacity`
+    /// lines: yields [`Walked::bank`].  Each thread's walk stops after the
+    /// last boundary.
+    Warmup {
+        /// Region boundaries to snapshot (a boundary `r` reflects regions
+        /// `0..r`).
+        boundaries: &'b [usize],
+        /// Collection capacity in cache lines.
+        capacity: u64,
+    },
+    /// Both observers on one walk — the fused pass: yields the profile and
+    /// the bank.  Over every region, a cold fused walk also yields its
+    /// [`Walked::checkpoints`].
+    Fused {
+        /// Region boundaries to snapshot.
+        boundaries: &'b [usize],
+        /// Collection capacity in cache lines.
+        capacity: u64,
+    },
+}
+
+/// What one [`walk`] produced, and what it cost.
+#[derive(Debug)]
+pub struct Walked {
+    /// The application profile, when the walk carried the profiler.
+    pub profile: Option<ApplicationProfile>,
+    /// The MRU snapshot bank, when the walk carried an MRU observer.
+    pub bank: Option<MruSnapshotBank>,
+    /// The checkpoints of a cold fused walk over every region (with no cuts
+    /// for a one-segment plan); `None` for every other walk.
+    pub checkpoints: Option<WorkloadCheckpoints>,
+    /// Whole per-thread trace walks (one per thread for a cold walk).
+    pub trace_walks: usize,
+    /// Segment jobs of a resumed walk (`threads × segments`).
+    pub segment_walks: usize,
+    /// Segment jobs that started from a restored checkpoint.
+    pub checkpoint_hits: usize,
+}
+
+/// Unwraps an artifact of a walk whose [`Observe`] carried the observer that
+/// produces it.
+pub(crate) fn carried<T>(artifact: Option<T>) -> T {
+    match artifact {
+        Some(artifact) => artifact,
+        None => unreachable!("the walk did not carry the observer of this artifact"),
+    }
+}
+
+/// One job of a walk: a thread, the segment bounds it walks in order, and
+/// the checkpoint it restores before its first segment.
+struct Job<'c> {
+    thread: usize,
+    /// `[from, cut, …, until]`: a snapshot is taken at every interior bound.
+    bounds: Vec<usize>,
+    resume: Option<&'c SegmentCheckpoint>,
+}
+
+/// What one job hands back for stitching.
+type JobOutput = (Option<ThreadProfile>, Option<MruThreadObserver>, Vec<SegmentCheckpoint>);
+
+/// Walks `workload` under `plan` with the observers `observe` selects, the
+/// jobs fanning out under `policy` (drawing helper threads from `budget`
+/// when given).  Every plan, policy and budget yields bit-identical
+/// artifacts.
+///
+/// # Errors
+///
+/// Returns [`Error::EmptyWorkload`] for a region-less workload, and
+/// [`Error::CheckpointRestore`] when resumed checkpoints do not match the
+/// workload's shape or a snapshot fails to restore.
+pub fn walk<W: Workload + ?Sized>(
+    workload: &W,
+    plan: WalkPlan<'_>,
+    observe: Observe<'_>,
+    policy: &ExecutionPolicy,
+    budget: Option<&WorkerBudget>,
+) -> Result<Walked, Error> {
+    let num_regions = workload.num_regions();
+    if num_regions == 0 {
+        return Err(Error::EmptyWorkload { workload: workload.name().to_string() });
+    }
+    let threads = workload.num_threads();
+    let (profile, mru) = match observe {
+        Observe::Profile => (true, None),
+        Observe::Warmup { boundaries, capacity } => (false, Some((boundaries, capacity))),
+        Observe::Fused { boundaries, capacity } => (true, Some((boundaries, capacity))),
+    };
+    let mut jobs = Vec::new();
+    let (capacity, checkpointed, trace_walks, segment_walks, checkpoint_hits) = match plan {
+        WalkPlan::Cold { segments } => {
+            // Only a fused walk over every region can seed a resume of any
+            // later walk: a shorter boundary list stops recording early.
+            let checkpointed =
+                profile && mru.is_some_and(|(b, _)| b.iter().copied().eq(0..num_regions));
+            let mut bounds = vec![0];
+            if checkpointed {
+                bounds.extend(checkpoint_cuts(num_regions, segments));
+            }
+            bounds.push(num_regions);
+            for thread in 0..threads {
+                jobs.push(Job { thread, bounds: bounds.clone(), resume: None });
+            }
+            let capacity = mru.map_or(1, |(_, capacity)| capacity.max(1));
+            (capacity, checkpointed, threads, 0, 0)
+        }
+        WalkPlan::Resume(checkpoints) => {
+            let shape_error = || Error::CheckpointRestore {
+                message: format!(
+                    "checkpoints of {} threads × {} regions do not cut {threads} × {num_regions}",
+                    checkpoints.threads(),
+                    checkpoints.num_regions()
+                ),
+            };
+            if checkpoints.threads() != threads || checkpoints.num_regions() != num_regions {
+                return Err(shape_error());
+            }
+            for (thread, cuts) in checkpoints.per_thread.iter().enumerate() {
+                let bounds = checkpoints.bounds(thread);
+                if bounds.windows(2).any(|pair| pair[0] >= pair[1]) {
+                    return Err(shape_error());
+                }
+                for segment in 0..=cuts.cuts.len() {
+                    jobs.push(Job {
+                        thread,
+                        bounds: bounds[segment..segment + 2].to_vec(),
+                        resume: segment.checked_sub(1).map(|cut| &cuts.cuts[cut]),
+                    });
+                }
+            }
+            let hits = checkpoints.checkpoint_restores();
+            (checkpoints.collection_capacity, false, 0, checkpoints.segment_jobs(), hits)
+        }
+    };
+    let boundaries = mru.map(|(boundaries, _)| boundaries);
+    let run = |j: usize| run_job(workload, &jobs[j], profile, boundaries, capacity);
+    let results = match budget {
+        Some(budget) => policy.execute_budgeted(jobs.len(), budget, run),
+        None => policy.execute(jobs.len(), run),
+    };
+
+    // Jobs are thread-major, so each thread's segments arrive in order.
+    let mut profiles: Vec<Vec<ThreadProfile>> = (0..threads).map(|_| Vec::new()).collect();
+    let mut observers: Vec<Vec<MruThreadObserver>> = (0..threads).map(|_| Vec::new()).collect();
+    let mut per_thread: Vec<ThreadCheckpoints> =
+        (0..threads).map(|_| ThreadCheckpoints { cuts: Vec::new() }).collect();
+    for (job, result) in jobs.iter().zip(results) {
+        let (thread_profile, observer, taken) = result?;
+        profiles[job.thread].extend(thread_profile);
+        observers[job.thread].extend(observer);
+        per_thread[job.thread].cuts.extend(taken);
+    }
+    Ok(Walked {
+        profile: profile.then(|| {
+            let profiles = profiles.into_iter().map(concat_thread_profiles).collect();
+            ApplicationProfile::from_thread_profiles(workload.name().to_string(), threads, profiles)
+        }),
+        bank: mru.map(|_| MruSnapshotBank::from_segmented_observers(observers)),
+        checkpoints: checkpointed.then_some(WorkloadCheckpoints {
+            collection_capacity: capacity,
+            num_regions: num_regions as u64,
+            per_thread,
+        }),
+        trace_walks,
+        segment_walks,
+        checkpoint_hits,
+    })
+}
+
+/// One job: constructs the observers, restores the job's checkpoint (if
+/// any), walks its segments in order, snapshotting both observers at every
+/// interior bound, and seals the MRU observer — its recency state is dead
+/// weight while the other jobs are still walking.
+fn run_job<W: Workload + ?Sized>(
+    workload: &W,
+    job: &Job<'_>,
+    profile: bool,
+    boundaries: Option<&[usize]>,
+    capacity: u64,
+) -> Result<JobOutput, Error> {
+    let thread = job.thread;
+    let mut profiler = profile.then(|| ThreadProfileObserver::new(workload, thread));
+    let mut mru = boundaries.map(|boundaries| MruThreadObserver::new(boundaries, capacity));
+    if let Some(cut) = job.resume {
+        let from = job.bounds[0];
+        let restore_error = |e: bp_workload::CheckpointError| Error::CheckpointRestore {
+            message: format!("thread {thread} segment at region {from}: {e}"),
+        };
+        if let Some(profiler) = profiler.as_mut() {
+            profiler.restore(from, &cut.profiler).map_err(restore_error)?;
+        }
+        if let Some(mru) = mru.as_mut() {
+            mru.restore(from, &cut.mru).map_err(restore_error)?;
+        }
+    }
+    let mut taken = Vec::with_capacity(job.bounds.len() - 2);
+    for (i, segment) in job.bounds.windows(2).enumerate() {
+        let mut observers: Vec<&mut dyn TraceObserver> = Vec::with_capacity(2);
+        if let Some(profiler) = profiler.as_mut() {
+            observers.push(profiler);
+        }
+        if let Some(mru) = mru.as_mut() {
+            observers.push(mru);
+        }
+        bp_workload::drive_segment(workload, thread, segment[0], segment[1], &mut observers);
+        if i + 2 < job.bounds.len() {
+            let cut = segment[1];
+            taken.push(SegmentCheckpoint {
+                region: cut as u64,
+                profiler: profiler.as_ref().map_or_else(Vec::new, |p| p.snapshot_at(cut)),
+                mru: mru.as_ref().map_or_else(Vec::new, |m| m.snapshot_at(cut)),
+            });
+        }
+    }
+    if let Some(mru) = mru.as_mut() {
+        mru.seal();
+    }
+    Ok((profiler.map(ThreadProfileObserver::into_profile), mru, taken))
+}
+
+/// The fused cold pass with checkpoint emission: one walk per thread feeds
+/// the signature profiler and an MRU observer over every region at the
+/// largest of `capacities`, snapshotting both at every interior cut of
+/// [`checkpoint_cuts`]`(regions, max_segments)`.  A forward over [`walk`].
 ///
 /// # Errors
 ///
@@ -213,241 +466,33 @@ pub fn profile_and_collect_warmup_checkpointed<W: Workload + ?Sized>(
     budget: Option<&WorkerBudget>,
     max_segments: usize,
 ) -> Result<(ApplicationProfile, MruSnapshotBank, WorkloadCheckpoints), Error> {
-    if workload.num_regions() == 0 {
-        return Err(Error::EmptyWorkload { workload: workload.name().to_string() });
-    }
-    let num_regions = workload.num_regions();
-    let boundaries: Vec<usize> = (0..num_regions).collect();
-    let collection_capacity = capacities.iter().copied().max().unwrap_or(1).max(1);
-    let cuts = checkpoint_cuts(num_regions, max_segments);
-    let walk = |thread: usize| {
-        let mut profiler = ThreadProfileObserver::new(workload, thread);
-        let mut mru = MruThreadObserver::new(&boundaries, collection_capacity);
-        let mut taken = Vec::with_capacity(cuts.len());
-        let mut from = 0;
-        for &cut in cuts.iter().chain(std::iter::once(&num_regions)) {
-            bp_workload::drive_segment(workload, thread, from, cut, &mut [&mut profiler, &mut mru]);
-            if cut < num_regions {
-                taken.push(SegmentCheckpoint {
-                    region: cut as u64,
-                    profiler: profiler.snapshot_at(cut),
-                    mru: mru.snapshot_at(cut),
-                });
-            }
-            from = cut;
-        }
-        mru.seal();
-        (profiler.into_profile(), mru, ThreadCheckpoints { cuts: taken })
-    };
-    let threads = workload.num_threads();
-    let walked = match budget {
-        Some(budget) => policy.execute_budgeted(threads, budget, walk),
-        None => policy.execute(threads, walk),
-    };
-    let mut profiles = Vec::with_capacity(threads);
-    let mut observers = Vec::with_capacity(threads);
-    let mut per_thread = Vec::with_capacity(threads);
-    for (profile, mru, thread_cuts) in walked {
-        profiles.push(profile);
-        observers.push(mru);
-        per_thread.push(thread_cuts);
-    }
-    let profile =
-        ApplicationProfile::from_thread_profiles(workload.name().to_string(), threads, profiles);
-    let checkpoints =
-        WorkloadCheckpoints { collection_capacity, num_regions: num_regions as u64, per_thread };
-    Ok((profile, MruSnapshotBank::from_observers(observers), checkpoints))
+    let every_region: Vec<usize> = (0..workload.num_regions()).collect();
+    let capacity = capacities.iter().copied().max().unwrap_or(1);
+    let observe = Observe::Fused { boundaries: &every_region, capacity };
+    let walked =
+        walk(workload, WalkPlan::Cold { segments: max_segments }, observe, policy, budget)?;
+    Ok((carried(walked.profile), carried(walked.bank), carried(walked.checkpoints)))
 }
 
-/// One segment job's restored walk: constructs the observers, restores the
-/// checkpoint (when not the first segment), walks `[from, until)`, and
-/// returns the observers for stitching.  `with_profiler`/`with_mru` select
-/// which observers the job carries — a profile-only re-walk pays no MRU
-/// state, and vice versa.
-#[allow(clippy::type_complexity)]
-fn run_segment_job<W: Workload + ?Sized>(
-    workload: &W,
-    checkpoints: &WorkloadCheckpoints,
-    boundaries: &[usize],
-    thread: usize,
-    segment: usize,
-    with_profiler: bool,
-    with_mru: bool,
-) -> Result<(Option<ThreadProfile>, Option<MruThreadObserver>), Error> {
-    let bounds = checkpoints.bounds(thread);
-    let (from, until) = (bounds[segment], bounds[segment + 1]);
-    let mut profiler = with_profiler.then(|| ThreadProfileObserver::new(workload, thread));
-    let mut mru =
-        with_mru.then(|| MruThreadObserver::new(boundaries, checkpoints.collection_capacity));
-    if segment > 0 {
-        let cut = &checkpoints.per_thread[thread].cuts[segment - 1];
-        if let Some(profiler) = profiler.as_mut() {
-            profiler.restore(from, &cut.profiler).map_err(|e| restore_error(thread, from, e))?;
-        }
-        if let Some(mru) = mru.as_mut() {
-            mru.restore(from, &cut.mru).map_err(|e| restore_error(thread, from, e))?;
-        }
-    }
-    let mut observers: Vec<&mut dyn bp_workload::TraceObserver> = Vec::with_capacity(2);
-    if let Some(profiler) = profiler.as_mut() {
-        observers.push(profiler);
-    }
-    if let Some(mru) = mru.as_mut() {
-        observers.push(mru);
-    }
-    bp_workload::drive_segment(workload, thread, from, until, &mut observers);
-    // Sealed now, not at stitch time: the recency state is dead weight
-    // while the other segment jobs are still walking.
-    if let Some(mru) = mru.as_mut() {
-        mru.seal();
-    }
-    Ok((profiler.map(ThreadProfileObserver::into_profile), mru))
-}
-
-/// Fans one segmented walk's `threads × segments` jobs onto the budget and
-/// regroups the results thread-major, segment order preserved.
-#[allow(clippy::type_complexity)]
-fn fan_segment_jobs<W: Workload + ?Sized>(
-    workload: &W,
-    checkpoints: &WorkloadCheckpoints,
-    policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
-    with_profiler: bool,
-    with_mru: bool,
-) -> Result<Vec<Vec<(Option<ThreadProfile>, Option<MruThreadObserver>)>>, Error> {
-    let threads = checkpoints.threads();
-    let segments = checkpoints.num_segments();
-    let boundaries: Vec<usize> = (0..checkpoints.num_regions()).collect();
-    let job = |j: usize| {
-        run_segment_job(
-            workload,
-            checkpoints,
-            &boundaries,
-            j / segments,
-            j % segments,
-            with_profiler,
-            with_mru,
-        )
-    };
-    let jobs = threads * segments;
-    let results = match budget {
-        Some(budget) => policy.execute_budgeted(jobs, budget, job),
-        None => policy.execute(jobs, job),
-    };
-    let mut per_thread: Vec<Vec<_>> = (0..threads).map(|_| Vec::with_capacity(segments)).collect();
-    for (j, result) in results.into_iter().enumerate() {
-        per_thread[j / segments].push(result?);
-    }
-    Ok(per_thread)
-}
-
-/// Stitches each thread's per-segment profiles into the application
-/// profile ([`concat_thread_profiles`] per thread, then the usual
-/// per-region zip).
-fn stitch_profiles<W: Workload + ?Sized>(
-    workload: &W,
-    per_thread: Vec<Vec<Option<ThreadProfile>>>,
-) -> ApplicationProfile {
-    let profiles = per_thread
-        .into_iter()
-        .map(|segments| concat_thread_profiles(segments.into_iter().flatten().collect()))
-        .collect();
-    ApplicationProfile::from_thread_profiles(
-        workload.name().to_string(),
-        workload.num_threads(),
-        profiles,
-    )
-}
-
-/// Re-profiles `workload` as `threads × segments` parallel segment jobs,
-/// each resuming from `checkpoints`, bit-identical to
-/// [`crate::profile_application_with`]'s sequential thread-major pass.
-/// This is how a sweep re-profiles at a new [`crate::SignatureConfig`] — or any
-/// forced re-profile — using more workers than the workload has threads.
+/// The fused segmented re-walk: `threads × segments` jobs resumed from
+/// `checkpoints` produce the profile and the every-region bank together.
+/// A forward over [`walk`].
 ///
 /// # Errors
 ///
 /// Returns [`Error::EmptyWorkload`] for a region-less workload and
-/// [`Error::CheckpointRestore`] for a semantically invalid checkpoint
-/// (shape mismatches are the caller's to pre-check via
-/// [`WorkloadCheckpoints::covers`]).
-pub fn profile_application_segmented<W: Workload + ?Sized>(
-    workload: &W,
-    checkpoints: &WorkloadCheckpoints,
-    policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
-) -> Result<ApplicationProfile, Error> {
-    if workload.num_regions() == 0 {
-        return Err(Error::EmptyWorkload { workload: workload.name().to_string() });
-    }
-    let per_thread = fan_segment_jobs(workload, checkpoints, policy, budget, true, false)?;
-    Ok(stitch_profiles(
-        workload,
-        per_thread
-            .into_iter()
-            .map(|segments| segments.into_iter().map(|(profile, _)| profile).collect())
-            .collect(),
-    ))
-}
-
-/// Collects the every-boundary MRU snapshot bank as parallel segment jobs
-/// (at the checkpoints' collection capacity), bit-identical to the
-/// sequential fused pass's bank: assembly at any boundary subset and any
-/// capacity up to [`WorkloadCheckpoints::collection_capacity`] matches
-/// [`bp_warmup::collect_mru_warmup`] exactly.
-///
-/// # Errors
-///
-/// Returns [`Error::EmptyWorkload`] for a region-less workload and
-/// [`Error::CheckpointRestore`] for a semantically invalid checkpoint.
-pub fn collect_warmup_bank_segmented<W: Workload + ?Sized>(
-    workload: &W,
-    checkpoints: &WorkloadCheckpoints,
-    policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
-) -> Result<MruSnapshotBank, Error> {
-    if workload.num_regions() == 0 {
-        return Err(Error::EmptyWorkload { workload: workload.name().to_string() });
-    }
-    let per_thread = fan_segment_jobs(workload, checkpoints, policy, budget, false, true)?;
-    Ok(MruSnapshotBank::from_segmented_observers(
-        per_thread
-            .into_iter()
-            .map(|segments| segments.into_iter().filter_map(|(_, mru)| mru).collect())
-            .collect(),
-    ))
-}
-
-/// The fused segmented re-walk: one fan-out of `threads × segments` jobs
-/// whose every job restores *both* observers and walks its segment once —
-/// producing the profile and the every-boundary bank together, exactly as
-/// the sequential fused cold pass does, with half the walks of running
-/// [`profile_application_segmented`] and [`collect_warmup_bank_segmented`]
-/// separately.
-///
-/// # Errors
-///
-/// Returns [`Error::EmptyWorkload`] for a region-less workload and
-/// [`Error::CheckpointRestore`] for a semantically invalid checkpoint.
+/// [`Error::CheckpointRestore`] for checkpoints that do not restore.
 pub fn profile_and_collect_warmup_segmented<W: Workload + ?Sized>(
     workload: &W,
     checkpoints: &WorkloadCheckpoints,
     policy: &ExecutionPolicy,
     budget: Option<&WorkerBudget>,
 ) -> Result<(ApplicationProfile, MruSnapshotBank), Error> {
-    if workload.num_regions() == 0 {
-        return Err(Error::EmptyWorkload { workload: workload.name().to_string() });
-    }
-    let per_thread = fan_segment_jobs(workload, checkpoints, policy, budget, true, true)?;
-    let mut profile_segments = Vec::with_capacity(per_thread.len());
-    let mut mru_segments = Vec::with_capacity(per_thread.len());
-    for segments in per_thread {
-        let (profiles, mrus): (Vec<_>, Vec<_>) = segments.into_iter().unzip();
-        profile_segments.push(profiles);
-        mru_segments.push(mrus.into_iter().flatten().collect());
-    }
-    let profile = stitch_profiles(workload, profile_segments);
-    Ok((profile, MruSnapshotBank::from_segmented_observers(mru_segments)))
+    let every_region: Vec<usize> = (0..workload.num_regions()).collect();
+    let observe =
+        Observe::Fused { boundaries: &every_region, capacity: checkpoints.collection_capacity };
+    let walked = walk(workload, WalkPlan::Resume(checkpoints), observe, policy, budget)?;
+    Ok((carried(walked.profile), carried(walked.bank)))
 }
 
 #[cfg(test)]
@@ -505,9 +550,11 @@ mod tests {
             let (_, _, checkpoints) =
                 profile_and_collect_warmup_checkpointed(&w, &[700], &policy, None, segments)
                     .unwrap();
-            let profile = profile_application_segmented(&w, &checkpoints, &policy, None).unwrap();
+            let plan = WalkPlan::Resume(&checkpoints);
+            let profile = walk(&w, plan, Observe::Profile, &policy, None).unwrap().profile.unwrap();
             assert_eq!(profile, sequential, "{segments} segments");
-            let seg_bank = collect_warmup_bank_segmented(&w, &checkpoints, &policy, None).unwrap();
+            let observe = Observe::Warmup { boundaries: &targets, capacity: 700 };
+            let seg_bank = walk(&w, plan, observe, &policy, None).unwrap().bank.unwrap();
             for capacity in [1u64, 64, 700] {
                 assert_eq!(
                     seg_bank.assemble(&targets, capacity),
@@ -538,8 +585,9 @@ mod tests {
         // for the 8-job fan-out and returns every permit.
         let budget = WorkerBudget::new(6);
         let policy = ExecutionPolicy::parallel_with(6);
+        let plan = WalkPlan::Resume(&checkpoints);
         let segmented =
-            profile_application_segmented(&w, &checkpoints, &policy, Some(&budget)).unwrap();
+            walk(&w, plan, Observe::Profile, &policy, Some(&budget)).unwrap().profile.unwrap();
         assert_eq!(budget.available(), 6, "all permits returned");
         assert_eq!(segmented, profile_application_with(&w, &ExecutionPolicy::Serial).unwrap());
     }
@@ -575,10 +623,33 @@ mod tests {
         // cache's checksum seal makes this unreachable for cache-served
         // checkpoints, but the API contract still has to hold).
         checkpoints.per_thread[1].cuts[0].mru.pop();
-        let err = collect_warmup_bank_segmented(&w, &checkpoints, &ExecutionPolicy::Serial, None)
+        let every_region: Vec<usize> = (0..w.num_regions()).collect();
+        let observe = Observe::Warmup { boundaries: &every_region, capacity: 256 };
+        let err = walk(&w, WalkPlan::Resume(&checkpoints), observe, &ExecutionPolicy::Serial, None)
             .unwrap_err();
         assert!(matches!(err, Error::CheckpointRestore { .. }), "{err:?}");
         assert!(err.to_string().contains("thread 1"));
+    }
+
+    #[test]
+    fn resume_rejects_checkpoints_that_do_not_cut_the_workload() {
+        let policy = ExecutionPolicy::Serial;
+        let w = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
+        let (_, _, checkpoints) =
+            profile_and_collect_warmup_checkpointed(&w, &[256], &policy, None, 4).unwrap();
+        let resume = |w: &dyn Workload, checkpoints: &WorkloadCheckpoints| {
+            walk(w, WalkPlan::Resume(checkpoints), Observe::Profile, &policy, None).unwrap_err()
+        };
+        // Another thread count, another region count, and cuts out of order.
+        let wider = Benchmark::NpbIs.build(&WorkloadConfig::new(4).with_scale(0.02));
+        let longer = Benchmark::NpbCg.build(&WorkloadConfig::new(2).with_scale(0.02));
+        let mut disordered = checkpoints.clone();
+        disordered.per_thread[1].cuts.swap(0, 1);
+        for err in
+            [resume(&wider, &checkpoints), resume(&longer, &checkpoints), resume(&w, &disordered)]
+        {
+            assert!(matches!(err, Error::CheckpointRestore { .. }), "{err:?}");
+        }
     }
 
     proptest! {

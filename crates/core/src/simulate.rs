@@ -1,8 +1,9 @@
 use crate::error::Error;
+use crate::segment::{carried, walk, Observe, WalkPlan};
 use crate::select::BarrierPointSelection;
 use bp_exec::ExecutionPolicy;
 use bp_sim::{Machine, RegionMetrics, SimConfig};
-use bp_warmup::{apply_warmup, collect_mru_warmup_with, MruWarmupData, WarmupStrategy};
+use bp_warmup::{apply_warmup, MruWarmupData, WarmupStrategy};
 use bp_workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -59,7 +60,7 @@ pub fn simulate_barrierpoints<W: Workload + ?Sized>(
     policy: &ExecutionPolicy,
 ) -> Result<BarrierPointMetrics, Error> {
     check_machine(workload, selection, sim_config)?;
-    Ok(simulate_barrierpoints_impl(workload, selection, sim_config, warmup, policy, None))
+    simulate_barrierpoints_impl(workload, selection, sim_config, warmup, policy, None)
 }
 
 /// [`simulate_barrierpoints`] with an optionally precollected MRU warmup
@@ -68,6 +69,10 @@ pub fn simulate_barrierpoints<W: Workload + ?Sized>(
 /// from `workload` at `sim_config.memory.llc_total_lines(num_cores)` for the
 /// selection's barrierpoint regions, and the leg must have passed
 /// [`check_machine`].
+///
+/// # Errors
+///
+/// Returns [`Error::EmptyWorkload`] if the warmup walk finds no regions.
 pub(crate) fn simulate_barrierpoints_impl<W: Workload + ?Sized>(
     workload: &W,
     selection: &BarrierPointSelection,
@@ -75,18 +80,20 @@ pub(crate) fn simulate_barrierpoints_impl<W: Workload + ?Sized>(
     warmup: WarmupKind,
     policy: &ExecutionPolicy,
     precollected_mru: Option<&HashMap<usize, MruWarmupData>>,
-) -> BarrierPointMetrics {
+) -> Result<BarrierPointMetrics, Error> {
     let regions = selection.barrierpoint_regions();
 
-    // One streaming pass collects the MRU warmup payload for every target
-    // (unless the caller already holds it); it fans out thread-major under
-    // the same policy as the simulations.
+    // One walk collects the MRU warmup payload for every target (unless the
+    // caller already holds it), stopping after the last target; it fans out
+    // thread-major under the same policy as the simulations.
     let collected;
     let mru_data = match (warmup, precollected_mru) {
         (WarmupKind::MruReplay, Some(data)) => Some(data),
         (WarmupKind::MruReplay, None) => {
             let capacity = sim_config.memory.llc_total_lines(sim_config.num_cores);
-            collected = collect_mru_warmup_with(workload, &regions, capacity, policy);
+            let observe = Observe::Warmup { boundaries: &regions, capacity };
+            let walked = walk(workload, WalkPlan::Cold { segments: 1 }, observe, policy, None)?;
+            collected = carried(walked.bank).assemble(&regions, capacity);
             Some(&collected)
         }
         _ => None,
@@ -97,7 +104,7 @@ pub(crate) fn simulate_barrierpoints_impl<W: Workload + ?Sized>(
         let payload = mru_data.and_then(|data| data.get(&region));
         (region, simulate_region(workload, sim_config, warmup, region, payload))
     });
-    per_region.into_iter().collect()
+    Ok(per_region.into_iter().collect())
 }
 
 /// The checks every leg passes before any of its barrierpoints simulates:

@@ -260,7 +260,7 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
             self.pipeline.warmup(),
             self.pipeline.execution_policy(),
             payload.as_ref(),
-        );
+        )?;
         assemble_leg(&self.selection, self.pipeline.warmup(), workload.name(), sim_config, metrics)
     }
 

@@ -5,9 +5,9 @@
 //! barrierpoint selection serve *many* detailed simulations, and (Figure 6)
 //! a selection even transfers across core counts.  [`Sweep`] makes that
 //! economy structural: given one workload and N machine configurations, it
-//! walks each per-thread trace **once** — the fused cold pass
-//! ([`crate::profile_and_collect_warmup`]) feeds the signature profiler
-//! and the MRU warmup collector from one trace generation, and legs
+//! walks each per-thread trace **once** — one fused [`walk`] feeds the
+//! signature profiler and the MRU warmup collector from one trace
+//! generation, and legs
 //! differing in LLC capacity share that same walk (collection at the
 //! largest capacity, truncation for the rest) — runs the clustering stage
 //! **once**, and simulates each distinct barrierpoint of each distinct
@@ -72,11 +72,11 @@ use crate::cache::{
 };
 use crate::error::Error;
 use crate::pipeline::BarrierPoint;
-use crate::segment::DEFAULT_SEGMENTS;
+use crate::segment::{carried, walk, Observe, WalkPlan, Walked, DEFAULT_SEGMENTS};
 use crate::select::{select_barrierpoints_with, BarrierPointSelection};
 use crate::simulate::{simulate_region, BarrierPointMetrics, WarmupKind};
 use crate::stages::{assemble_leg, check_leg, Simulated};
-use bp_clustering::{SelectionStrategy, SimPointConfig};
+use bp_clustering::SelectionStrategy;
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_signature::SignatureConfig;
 use bp_sim::{RegionMetrics, SimConfig};
@@ -182,18 +182,6 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     /// Selects which signatures to cluster on (Figure 5's variants).
     pub fn with_signature_config(mut self, config: SignatureConfig) -> Self {
         self.base = self.base.with_signature_config(config);
-        self.invalidate_keys();
-        self
-    }
-
-    /// Overrides the SimPoint clustering parameters (Table II).
-    ///
-    /// Shorthand for [`with_selection_strategy`](Self::with_selection_strategy)
-    /// with a [`bp_clustering::SimPointStrategy`] — prefer that method when
-    /// the backend itself should vary, not just the default backend's
-    /// parameters.
-    pub fn with_simpoint_config(mut self, config: SimPointConfig) -> Self {
-        self.base = self.base.with_simpoint_config(config);
         self.invalidate_keys();
         self
     }
@@ -317,15 +305,18 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     /// incremental (a warm re-sweep executes **zero** simulate legs and
     /// **zero** trace walks).
     ///
-    /// Cold runs use the fused single-pass trace engine: when both the
-    /// profile and the selection are cache-missing (or no cache is
-    /// attached) and the warmup is [`WarmupKind::MruReplay`], each thread's
-    /// trace is walked **once**, feeding the signature profiler and the MRU
-    /// collector together ([`crate::profile_and_collect_warmup`]) — the
-    /// [`SweepCounters::trace_walks`] counter proves it.  A cached
-    /// selection short-circuits further: the sweep then neither loads nor
-    /// recomputes the profile at all (the selection key is derivable from
-    /// the configuration alone).
+    /// Every trace walk goes through the one walk engine ([`walk`]): one
+    /// call for the base profile and one per warmup group that the fused
+    /// bank cannot serve, each folding its counts into [`SweepCounters`].
+    /// When both the profile and the selection are cache-missing (or no
+    /// cache is attached) and the warmup is [`WarmupKind::MruReplay`], the
+    /// base walk is fused: each thread's trace is walked **once**, feeding
+    /// the signature profiler and the MRU collector together — the
+    /// [`SweepCounters::trace_walks`] counter proves it.  Cached checkpoints
+    /// turn either walk into a resumed `threads × segments` fan-out.  A
+    /// cached selection short-circuits further: the sweep then neither
+    /// loads nor recomputes the profile at all (the selection key is
+    /// derivable from the configuration alone).
     ///
     /// # Errors
     ///
@@ -354,14 +345,17 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             self.shared_budget.clone().unwrap_or_else(|| WorkerBudget::for_policy(&policy));
         let statics = self.static_keys.get_or_init(|| self.build_static_keys());
         let base_fp = statics.profile_key.fingerprint();
-        let base_threads = workload.num_threads();
-
-        let mut profile_passes = 0;
-        let mut warmup_collections = 0;
-        let mut trace_walks = 0;
-        let mut segment_walks = 0;
-        let mut checkpoint_hits = 0;
+        let mut counters = SweepCounters::default();
         let mut fused_bank: Option<MruSnapshotBank> = None;
+        // A prior cold walk's segment checkpoints, when cached and able to
+        // serve MRU capacities up to `capacity`: they turn a re-walk of the
+        // base workload into `threads × segments` jobs on the one shared
+        // budget — drawing *more* workers than threads — bit-identical to
+        // the sequential walk.
+        let cached_checkpoints = |capacity: u64| {
+            let cache = self.base.cache()?;
+            cache.probe(&statics.checkpoint_key).filter(|c| c.covers(workload, capacity))
+        };
 
         // Cache-health counters are reported as the delta over this run.
         // The underlying `CacheStats` are shared across every user of the
@@ -385,7 +379,6 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                 *slot = cache.probe(key);
             }
         }
-        let mut clustering_passes = 0;
         if selections.iter().any(Option::is_none) {
             let cached_profile = match self.base.cache() {
                 Some(cache) => cache.probe(&statics.profile_key),
@@ -394,84 +387,38 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             let profile = match cached_profile {
                 Some(profile) => profile,
                 None => {
-                    profile_passes = 1;
+                    counters.profile_passes = 1;
                     let base_capacities = base_capacities(statics, base_fp);
                     // The interval-sharing snapshot bank scales with
                     // eviction/write activity between boundaries, not
-                    // `threads × regions × capacity`, so the fused pass
-                    // no longer needs the old 512 MiB byte-cap fallback
-                    // onto two separate walks — fusing is unconditional.
-                    let fuse = warmup == WarmupKind::MruReplay && !base_capacities.is_empty();
+                    // `threads × regions × capacity`, so fusing the MRU
+                    // collection into the profiling walk is unconditional.
                     let max_capacity = base_capacities.last().copied().unwrap_or(0);
-                    // A prior cold walk's segment checkpoints turn this
-                    // re-profile into `threads × segments` jobs on the one
-                    // shared budget — drawing *more* workers than threads —
-                    // bit-identical to the sequential walk.  Checkpoints
-                    // whose collection capacity cannot serve every base
-                    // capacity fall through to the sequential walk, which
-                    // re-stores refreshed (larger-capacity) checkpoints.
-                    let checkpoints = match self.base.cache() {
-                        Some(cache) => cache
-                            .probe(&statics.checkpoint_key)
-                            .filter(|c| c.covers(workload, max_capacity)),
-                        None => None,
+                    let every_region: Vec<usize> = (0..workload.num_regions()).collect();
+                    let observe = if warmup == WarmupKind::MruReplay && !base_capacities.is_empty()
+                    {
+                        Observe::Fused { boundaries: &every_region, capacity: max_capacity }
+                    } else {
+                        Observe::Profile
                     };
-                    let profile = match checkpoints {
-                        Some(ckpts) => {
-                            segment_walks += ckpts.segment_jobs();
-                            checkpoint_hits += ckpts.checkpoint_restores();
-                            if fuse {
-                                let (profile, bank) =
-                                    crate::segment::profile_and_collect_warmup_segmented(
-                                        workload,
-                                        &ckpts,
-                                        &policy,
-                                        Some(&budget),
-                                    )?;
-                                warmup_collections += 1;
-                                fused_bank = Some(bank);
-                                Arc::new(profile)
-                            } else {
-                                Arc::new(crate::segment::profile_application_segmented(
-                                    workload,
-                                    &ckpts,
-                                    &policy,
-                                    Some(&budget),
-                                )?)
-                            }
-                        }
-                        None => {
-                            trace_walks += base_threads;
-                            if fuse {
-                                // The one-time cold walk emits checkpoints
-                                // every K regions as a side product (only
-                                // worth taking when a cache can keep them).
-                                let segments =
-                                    if self.base.cache().is_some() { DEFAULT_SEGMENTS } else { 1 };
-                                let (profile, bank, ckpts) =
-                                    crate::segment::profile_and_collect_warmup_checkpointed(
-                                        workload,
-                                        &base_capacities,
-                                        &policy,
-                                        Some(&budget),
-                                        segments,
-                                    )?;
-                                warmup_collections += 1;
-                                fused_bank = Some(bank);
-                                if let Some(cache) = self.base.cache() {
-                                    cache.store_arc(&statics.checkpoint_key, &Arc::new(ckpts));
-                                }
-                                Arc::new(profile)
-                            } else {
-                                Arc::new(crate::profile::profile_application_budgeted(
-                                    workload,
-                                    &policy,
-                                    Some(&budget),
-                                )?)
-                            }
-                        }
-                    };
+                    // Checkpoints whose collection capacity cannot serve
+                    // every base capacity fall through to the cold walk,
+                    // which emits refreshed checkpoints every K regions as a
+                    // side product (only worth taking when a cache can keep
+                    // them).
+                    let checkpoints = cached_checkpoints(max_capacity);
+                    let segments = if self.base.cache().is_some() { DEFAULT_SEGMENTS } else { 1 };
+                    let plan = checkpoints
+                        .as_deref()
+                        .map_or(WalkPlan::Cold { segments }, WalkPlan::Resume);
+                    let walked = walk(workload, plan, observe, &policy, Some(&budget))?;
+                    counters.fold(&walked);
+                    fused_bank = walked.bank;
+                    let profile = Arc::new(carried(walked.profile));
                     if let Some(cache) = self.base.cache() {
+                        if let Some(checkpoints) = walked.checkpoints {
+                            cache.store_arc(&statics.checkpoint_key, &Arc::new(checkpoints));
+                        }
                         cache.store_arc(&statics.profile_key, &profile);
                     }
                     profile
@@ -484,7 +431,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                         self.base.signature_config(),
                         strategies[s].1.as_ref(),
                     )?);
-                    clustering_passes += 1;
+                    counters.clustering_passes += 1;
                     if let Some(cache) = self.base.cache() {
                         cache.store_arc(&statics.selection_keys[s], &selection);
                     }
@@ -622,6 +569,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
         // the fused bank when the fused pass ran — no further walk at all.
         let mut warmup_payloads: Vec<((u64, u64), HashMap<usize, MruWarmupData>)> = Vec::new();
         if warmup == WarmupKind::MruReplay {
+            let base: &dyn Workload = &workload;
             let mut groups: Vec<WarmupGroup<'_>> = Vec::new();
             for machine in &machines {
                 let parts = &statics.points[machine.point];
@@ -631,7 +579,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                         None => {
                             groups.push(WarmupGroup {
                                 fingerprint: parts.workload_fingerprint,
-                                workload: self.points[machine.point].workload,
+                                workload: self.points[machine.point].workload.unwrap_or(base),
                                 capacities: Vec::new(),
                                 regions: Vec::new(),
                             });
@@ -644,81 +592,39 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                 }
                 group.regions.extend_from_slice(&machine.regions);
             }
-            for WarmupGroup {
-                fingerprint: workload_fp,
-                workload: leg_workload,
-                capacities,
-                mut regions,
-            } in groups
+            for WarmupGroup { fingerprint, workload: leg_workload, capacities, mut regions } in
+                groups
             {
                 regions.sort_unstable();
                 regions.dedup();
-                if workload_fp == base_fp {
-                    if let Some(bank) = &fused_bank {
-                        for capacity in capacities {
-                            warmup_payloads
-                                .push(((workload_fp, capacity), bank.assemble(&regions, capacity)));
-                        }
-                        continue;
-                    }
-                    // No fused bank (the profile and selections were
-                    // cache-served) but cached segment checkpoints whose
-                    // collection capacity covers this group: re-collect as
-                    // `threads × segments` jobs instead of a sequential
-                    // walk, bit-identical by the stitching contract.
-                    let group_max = capacities.iter().copied().max().unwrap_or(0);
-                    let checkpoints = match self.base.cache() {
-                        Some(cache) => cache
-                            .probe(&statics.checkpoint_key)
-                            .filter(|c| c.covers(workload, group_max)),
-                        None => None,
-                    };
-                    if let Some(ckpts) = checkpoints {
-                        segment_walks += ckpts.segment_jobs();
-                        checkpoint_hits += ckpts.checkpoint_restores();
-                        let bank = crate::segment::collect_warmup_bank_segmented(
-                            workload,
-                            &ckpts,
-                            &policy,
-                            Some(&budget),
-                        )?;
-                        warmup_collections += 1;
-                        for capacity in capacities {
-                            warmup_payloads
-                                .push(((workload_fp, capacity), bank.assemble(&regions, capacity)));
-                        }
-                        continue;
-                    }
-                }
-                // A dedicated collection pass, thread-major from the shared
-                // budget.
-                let mut per_capacity = match leg_workload {
-                    Some(leg_workload) => {
-                        trace_walks += leg_workload.num_threads();
-                        bp_warmup::collect_mru_warmup_multi_budgeted(
-                            leg_workload,
-                            &regions,
-                            &capacities,
-                            &policy,
-                            Some(&budget),
-                        )
-                    }
-                    None => {
-                        trace_walks += base_threads;
-                        bp_warmup::collect_mru_warmup_multi_budgeted(
-                            workload,
-                            &regions,
-                            &capacities,
-                            &policy,
-                            Some(&budget),
-                        )
+                let collected;
+                let bank = match &fused_bank {
+                    Some(bank) if fingerprint == base_fp => bank,
+                    _ => {
+                        // No fused bank serves this content: one walk,
+                        // resumed from cached checkpoints of the base
+                        // workload when they cover this group's capacities,
+                        // else a dedicated cold walk that stops after the
+                        // last region still needed.
+                        let group_max = capacities.iter().copied().max().unwrap_or(0);
+                        let checkpoints = if fingerprint == base_fp {
+                            cached_checkpoints(group_max)
+                        } else {
+                            None
+                        };
+                        let plan = checkpoints
+                            .as_deref()
+                            .map_or(WalkPlan::Cold { segments: 1 }, WalkPlan::Resume);
+                        let observe = Observe::Warmup { boundaries: &regions, capacity: group_max };
+                        let walked = walk(leg_workload, plan, observe, &policy, Some(&budget))?;
+                        counters.fold(&walked);
+                        collected = carried(walked.bank);
+                        &collected
                     }
                 };
-                warmup_collections += 1;
                 for capacity in capacities {
-                    if let Some(data) = per_capacity.remove(&capacity) {
-                        warmup_payloads.push(((workload_fp, capacity), data));
-                    }
+                    warmup_payloads
+                        .push(((fingerprint, capacity), bank.assemble(&regions, capacity)));
                 }
             }
         }
@@ -788,34 +694,18 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             }
         }
 
-        let health = match (&stats_before, self.base.cache()) {
-            (Some(before), Some(cache)) => {
-                let after = cache.stats();
-                [
-                    after.degraded_loads.saturating_sub(before.degraded_loads),
-                    after.degraded_stores.saturating_sub(before.degraded_stores),
-                    after.retries.saturating_sub(before.retries),
-                    after.lock_contended.saturating_sub(before.lock_contended),
-                ]
-            }
-            _ => [0; 4],
-        };
-        let counters = SweepCounters {
-            profile_passes,
-            clustering_passes,
-            warmup_collections,
-            simulate_legs: missing.len(),
-            barrierpoint_simulations: jobs.len(),
-            simulated_cache_hits,
-            trace_walks,
-            segment_walks,
-            checkpoint_hits,
-            fused_snapshot_bytes: fused_bank.as_ref().map_or(0, |bank| bank.snapshot_bytes()),
-            degraded_loads: health[0],
-            degraded_stores: health[1],
-            io_retries: health[2],
-            lock_contended: health[3],
-        };
+        counters.simulate_legs = missing.len();
+        counters.barrierpoint_simulations = jobs.len();
+        counters.simulated_cache_hits = simulated_cache_hits;
+        counters.fused_snapshot_bytes =
+            fused_bank.as_ref().map_or(0, MruSnapshotBank::snapshot_bytes);
+        if let (Some(before), Some(cache)) = (&stats_before, self.base.cache()) {
+            let after = cache.stats();
+            counters.degraded_loads = after.degraded_loads.saturating_sub(before.degraded_loads);
+            counters.degraded_stores = after.degraded_stores.saturating_sub(before.degraded_stores);
+            counters.io_retries = after.retries.saturating_sub(before.retries);
+            counters.lock_contended = after.lock_contended.saturating_sub(before.lock_contended);
+        }
         // Leg labels: the point label alone for a single-strategy sweep,
         // `"{strategy}/{point}"` across an explicit strategy axis.
         let prefixed = !self.strategies.is_empty();
@@ -924,8 +814,8 @@ struct MachineJobs {
 /// any LLC capacities.
 struct WarmupGroup<'a> {
     fingerprint: u64,
-    /// The design point's own workload, `None` for the sweep's base.
-    workload: Option<&'a dyn Workload>,
+    /// The design point's own workload, or the sweep's base.
+    workload: &'a dyn Workload,
     capacities: Vec<u64>,
     regions: Vec<usize>,
 }
@@ -954,7 +844,7 @@ fn base_capacities(statics: &StaticKeys, base_fp: u64) -> Vec<u64> {
 /// drops to zero on repeated sweeps — the one-time passes and the simulate
 /// legs alike; without one, the one-time passes are exactly one each (never
 /// once per design point) and every leg simulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepCounters {
     /// Profiling passes executed (0 on a cache hit, else 1 — never more,
     /// regardless of how many strategy-axis entries selected from it).
@@ -1034,6 +924,18 @@ pub struct SweepCounters {
     /// eviction/cleanup scan because the advisory lock stayed contended
     /// ([`CacheStats::lock_contended`](crate::CacheStats) delta).
     pub lock_contended: u64,
+}
+
+impl SweepCounters {
+    /// Adds one [`walk`]'s counts: its whole-trace and segment walks, its
+    /// checkpoint restores, and one warmup collection if it carried an MRU
+    /// observer.
+    fn fold(&mut self, walked: &Walked) {
+        self.trace_walks += walked.trace_walks;
+        self.segment_walks += walked.segment_walks;
+        self.checkpoint_hits += walked.checkpoint_hits;
+        self.warmup_collections += usize::from(walked.bank.is_some());
+    }
 }
 
 /// One completed design-point leg of a sweep.
@@ -1158,6 +1060,7 @@ impl SweepReport {
 mod tests {
     use super::*;
     use crate::cache::ArtifactCache;
+    use bp_clustering::{SimPointConfig, SimPointStrategy};
     use bp_workload::{Benchmark, WorkloadConfig};
 
     fn workload(threads: usize) -> impl Workload {
@@ -1604,7 +1507,9 @@ mod tests {
         let reconfigured = || {
             Sweep::new(&w)
                 .with_cache(cache.clone())
-                .with_simpoint_config(SimPointConfig::paper().with_max_k(3))
+                .with_selection_strategy(Arc::new(SimPointStrategy::new(
+                    SimPointConfig::paper().with_max_k(3),
+                )))
                 .add_config("base", base)
         };
         let segmented = reconfigured().run().unwrap();
@@ -1623,7 +1528,9 @@ mod tests {
         // Bit-identity with a sequential, cache-free run of the same
         // configuration — selection and legs alike.
         let sequential = Sweep::new(&w)
-            .with_simpoint_config(SimPointConfig::paper().with_max_k(3))
+            .with_selection_strategy(Arc::new(SimPointStrategy::new(
+                SimPointConfig::paper().with_max_k(3),
+            )))
             .add_config("base", base)
             .run()
             .unwrap();

@@ -70,8 +70,7 @@ pub use config::{LdvWeighting, SignatureConfig, SignatureKind};
 pub use ldv::{Ldv, LDV_BUCKETS};
 pub use stack_distance::StackDistanceTracker;
 pub use streaming::{
-    collect_application_signatures_budgeted, collect_application_signatures_with,
-    concat_thread_profiles, profile_thread, zip_thread_profiles, ThreadProfile,
-    ThreadProfileObserver,
+    collect_application_signatures_with, concat_thread_profiles, profile_thread,
+    zip_thread_profiles, ThreadProfile, ThreadProfileObserver,
 };
 pub use vector::SignatureVector;

@@ -3,6 +3,13 @@ use bp_workload::LineMap;
 /// Timestamps at or below which [`StackDistanceTracker`] never compacts.
 const COMPACT_FLOOR: usize = 1_048_576;
 
+/// Largest access total a restored tracker accepts.  No walk records 2^62
+/// accesses (at a billion accesses a second that takes over a century), so
+/// a larger total can only come from a corrupt checkpoint — and below it,
+/// the rest of any walk has 3 · 2^62 increments of headroom before `total`
+/// could overflow.
+const MAX_RESTORED_TOTAL: u64 = 1 << 62;
+
 /// Exact LRU stack distance (reuse distance) computation.
 ///
 /// The LRU stack distance of an access is the number of *distinct* cache
@@ -105,8 +112,9 @@ impl StackDistanceTracker {
     /// unless [`record`](Self::record) could have reached it: timestamps
     /// strictly increase, the newest one is `time` (the last access is
     /// always some line's latest), lines are distinct, `time` never exceeds
-    /// `total`, and `time` lies within the compaction bound — which also
-    /// bounds the Fenwick tree allocated from it.
+    /// `total`, `total` stays within [`MAX_RESTORED_TOTAL`] (so the next
+    /// access cannot overflow it), and `time` lies within the compaction
+    /// bound — which also bounds the Fenwick tree allocated from it.
     pub(crate) fn from_checkpoint(
         time: u64,
         total: u64,
@@ -116,6 +124,9 @@ impl StackDistanceTracker {
             (COMPACT_FLOOR as u64).max(8u64.saturating_mul(entries.len() as u64)).saturating_add(1);
         if time > bound || time > total {
             return Err(format!("time {time} past compaction bound {bound} or total {total}"));
+        }
+        if total > MAX_RESTORED_TOTAL {
+            return Err(format!("access total {total} past {MAX_RESTORED_TOTAL}"));
         }
         let newest = entries.last().map_or(0, |&(t, _)| t);
         if newest != time {
@@ -310,6 +321,11 @@ mod tests {
         assert!(!ok(5, 5, &[(5, 1), (5, 2)]));
         assert!(!ok(5, 5, &[(2, 1), (5, 1)]));
         assert!(ok(5, 9, &[(2, 1), (5, 2)]));
+        // An access total the next access would overflow, and the bound
+        // on totals no walk reaches.
+        assert!(!ok(1, u64::MAX, &[(1, 1)]));
+        assert!(ok(1, 1 << 62, &[(1, 1)]));
+        assert!(!ok(1, (1 << 62) + 1, &[(1, 1)]));
     }
 
     proptest! {

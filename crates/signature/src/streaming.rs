@@ -203,19 +203,20 @@ pub fn profile_thread<W: Workload + ?Sized>(workload: &W, thread: usize) -> Thre
 ///
 /// Panics if `segments` is empty or the segments disagree on the thread id.
 pub fn concat_thread_profiles(segments: Vec<ThreadProfile>) -> ThreadProfile {
-    assert!(!segments.is_empty(), "at least one segment profile required");
-    let thread = segments[0].thread();
-    let mut bbvs = Vec::new();
-    let mut ldvs = Vec::new();
-    let mut instructions = Vec::new();
+    let mut segments = segments.into_iter();
+    // The first segment's vectors hold the rest: a one-segment (sequential)
+    // walk is stitched without a copy.
+    let Some(mut stitched) = segments.next() else {
+        panic!("at least one segment profile required")
+    };
     for segment in segments {
-        assert_eq!(segment.thread(), thread, "segment profiles must share one thread");
-        let (seg_bbvs, seg_ldvs, seg_instructions) = segment.into_components();
-        bbvs.extend(seg_bbvs);
-        ldvs.extend(seg_ldvs);
-        instructions.extend(seg_instructions);
+        assert_eq!(segment.thread(), stitched.thread, "segment profiles must share one thread");
+        let (bbvs, ldvs, instructions) = segment.into_components();
+        stitched.bbvs.extend(bbvs);
+        stitched.ldvs.extend(ldvs);
+        stitched.instructions.extend(instructions);
     }
-    ThreadProfile { thread, bbvs, ldvs, instructions }
+    stitched
 }
 
 /// Zips per-thread streaming profiles back into one [`RegionSignature`] per
@@ -274,29 +275,12 @@ pub fn collect_application_signatures_with<W: Workload + ?Sized>(
     workload: &W,
     policy: &ExecutionPolicy,
 ) -> Vec<RegionSignature> {
-    collect_application_signatures_budgeted(workload, policy, None)
-}
-
-/// [`collect_application_signatures_with`] with the thread-major fan-out
-/// optionally drawing helper threads from a shared
-/// [`WorkerBudget`](bp_exec::WorkerBudget) instead of a private per-call
-/// pool — so a cold profiling pass inside a design-space sweep respects the
-/// sweep's overall worker cap.  Output is identical for every budget.
-pub fn collect_application_signatures_budgeted<W: Workload + ?Sized>(
-    workload: &W,
-    policy: &ExecutionPolicy,
-    budget: Option<&bp_exec::WorkerBudget>,
-) -> Vec<RegionSignature> {
     if workload.num_regions() == 0 {
         return Vec::new();
     }
-    let walk = |thread: usize| profile_thread(workload, thread);
-    let threads = workload.num_threads();
-    let profiles = match budget {
-        Some(budget) => policy.execute_budgeted(threads, budget, walk),
-        None => policy.execute(threads, walk),
-    };
-    zip_thread_profiles(profiles)
+    zip_thread_profiles(
+        policy.execute(workload.num_threads(), |thread| profile_thread(workload, thread)),
+    )
 }
 
 #[cfg(test)]
@@ -304,6 +288,7 @@ mod tests {
     use super::*;
     use crate::collector::collect_application_signatures;
     use bp_workload::{Benchmark, WorkloadConfig};
+    use proptest::prelude::*;
 
     fn workload() -> impl Workload {
         Benchmark::NpbCg.build(&WorkloadConfig::new(4).with_scale(0.05))
@@ -457,6 +442,46 @@ mod tests {
 
         let mut ok = ThreadProfileObserver::new(&w, 0);
         assert!(ok.restore(2, &bytes).is_ok());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Decoder robustness: a real snapshot, the same snapshot bit-flipped,
+        /// truncated or extended, and plain arbitrary bytes.  `restore` never
+        /// panics, the real snapshot restores, and whatever state `restore`
+        /// accepts walks the rest of the trace without panicking.
+        #[test]
+        fn restore_never_panics_and_accepted_states_walk_on(
+            mutation in 0usize..5,
+            pos in any::<usize>(),
+            bit in 0u32..8,
+            tail in proptest::collection::vec(any::<u8>(), 1..24),
+            noise in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let w = Benchmark::NpbIs.build(&WorkloadConfig::new(1).with_scale(0.02));
+            let cut = 3;
+            let mut source = ThreadProfileObserver::new(&w, 0);
+            bp_workload::drive_segment(&w, 0, 0, cut, &mut [&mut source]);
+            let mut bytes = source.snapshot_at(cut);
+            match mutation {
+                0 => {}
+                1 => {
+                    let at = pos % bytes.len();
+                    bytes[at] ^= 1 << bit;
+                }
+                2 => bytes.truncate(pos % bytes.len()),
+                3 => bytes.extend_from_slice(&tail),
+                _ => bytes = noise,
+            }
+            let mut restored = ThreadProfileObserver::new(&w, 0);
+            let accepted = restored.restore(cut, &bytes).is_ok();
+            prop_assert!(accepted || mutation != 0, "a real snapshot must restore");
+            if accepted {
+                bp_workload::drive_segment(&w, 0, cut, w.num_regions(), &mut [&mut restored]);
+                prop_assert_eq!(restored.into_profile().num_regions(), w.num_regions() - cut);
+            }
+        }
     }
 
     #[test]

@@ -28,12 +28,14 @@
 //!   derived from the `SelectionStrategy` seam (`fingerprint_bytes()`), and
 //!   naming the concrete config in key derivation would silently re-couple
 //!   the cache to one strategy and break every other backend's keys.
-//! * [`Rule::CoreDrive`] — no raw trace-drive calls (`bp_workload::drive` /
-//!   `drive_segment`) in `crates/core/src/**` outside `segment.rs`: the
-//!   segment scheduler is the single bp-core module allowed to walk traces,
-//!   so every sweep hot path stays checkpointable and segmentable.  A walk
-//!   hand-rolled elsewhere would silently bypass the `threads × segments`
-//!   fan-out (and its counters).
+//! * [`Rule::CoreDrive`] — no trace walks in `crates/core/src/**` outside
+//!   `segment.rs`: neither raw trace-drive calls (`bp_workload::drive` /
+//!   `drive_segment`) nor the substrate crates' own walking collectors
+//!   (`collect_application_signatures*`, `collect_mru_warmup*`,
+//!   `profile_thread`).  The walk engine in `segment.rs` is the single
+//!   bp-core module allowed to walk traces, so every sweep hot path stays
+//!   checkpointable and segmentable.  A walk hand-rolled elsewhere would
+//!   silently bypass the `threads × segments` fan-out (and its counters).
 //!
 //! A finding can be suppressed with a `bp-lint: allow(<rule>)` comment on
 //! the same line or the line above; every suppression is expected to carry
@@ -57,6 +59,13 @@ const PAT_JUSTIFY: &str = concat!("ordering", ":");
 const PAT_SIMPOINT_CFG: &str = concat!("SimPoint", "Config");
 const PAT_DRIVE: &str = concat!("drive", "(");
 const PAT_DRIVE_SEGMENT: &str = concat!("drive_segment", "(");
+/// Substrate collectors that walk traces themselves: a call to any name
+/// starting with one of these (and then only identifier characters) is a
+/// walk.
+const PAT_WALKING_COLLECTORS: [&str; 2] =
+    [concat!("collect_application_", "signatures"), concat!("collect_mru_", "warmup")];
+/// The single-thread profiling walk, matched as the exact name.
+const PAT_PROFILE_THREAD: &str = concat!("profile_", "thread");
 
 /// Which lint rule a finding belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,7 +83,8 @@ pub enum Rule {
     /// `SimPointConfig` named in the cache outside tests, re-coupling key
     /// derivation to one concrete strategy instead of the strategy seam.
     SimPointInCacheKeys,
-    /// Raw trace-drive call in bp-core outside the segment scheduler.
+    /// Trace walk in bp-core outside the walk engine: a raw trace-drive
+    /// call or a call to a substrate collector that walks traces.
     CoreDrive,
 }
 
@@ -278,10 +288,37 @@ fn in_simpoint_key_scope(rel: &str) -> bool {
     rel == "crates/core/src/cache.rs"
 }
 
-/// Scope of the trace-drive rule: all of bp-core except the segment
-/// scheduler (`segment.rs`), the single module allowed to walk traces.
+/// Scope of the trace-walk rule: all of bp-core except the walk engine
+/// (`segment.rs`), the single module allowed to walk traces.
 fn in_core_drive_scope(rel: &str) -> bool {
     rel.starts_with("crates/core/src/") && rel != "crates/core/src/segment.rs"
+}
+
+/// Whether `code` calls a function whose name is `name` (`exact`) or starts
+/// with `name` and goes on in identifier characters (`!exact`): the name
+/// must not continue an identifier on its left, and a `(` or a `::<`
+/// turbofish must follow it.
+fn calls(code: &str, name: &str, exact: bool) -> bool {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    code.match_indices(name).any(|(at, _)| {
+        if code[..at].chars().next_back().is_some_and(is_ident) {
+            return false;
+        }
+        let mut rest = &code[at + name.len()..];
+        if !exact {
+            rest = rest.trim_start_matches(is_ident);
+        }
+        rest.starts_with('(') || rest.starts_with("::<")
+    })
+}
+
+/// Whether `code` walks a trace: a raw trace-drive call or a call to a
+/// substrate collector that walks traces.
+fn walks_trace(code: &str) -> bool {
+    code.contains(PAT_DRIVE)
+        || code.contains(PAT_DRIVE_SEGMENT)
+        || PAT_WALKING_COLLECTORS.iter().any(|name| calls(code, name, false))
+        || calls(code, PAT_PROFILE_THREAD, true)
 }
 
 /// Crate roots that must carry `#![forbid(unsafe_code)]`.
@@ -418,18 +455,14 @@ pub fn lint_file(rel: &str, content: &str, findings: &mut Vec<Finding>) {
             });
         }
 
-        if check_drive
-            && !in_test
-            && (code.contains(PAT_DRIVE) || code.contains(PAT_DRIVE_SEGMENT))
-            && !allowed(&lines, idx, Rule::CoreDrive)
-        {
+        if check_drive && !in_test && walks_trace(code) && !allowed(&lines, idx, Rule::CoreDrive) {
             findings.push(Finding {
                 file: PathBuf::from(rel),
                 line: lineno,
                 rule: Rule::CoreDrive,
-                message: "raw trace-drive call in bp-core outside the segment scheduler — \
-                          route the walk through `crate::segment` so sweep hot paths stay \
-                          checkpointable and segmentable"
+                message: "trace walk in bp-core outside the walk engine — route it through \
+                          `crate::segment::walk` so sweep hot paths stay checkpointable and \
+                          segmentable"
                     .to_string(),
             });
         }
@@ -631,6 +664,39 @@ mod tests {
             // the integration suites, ...).
             let findings = lint_str("crates/warmup/src/mru.rs", &src);
             assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive), "out of scope: {src}");
+        }
+    }
+
+    #[test]
+    fn walking_collectors_in_core_are_flagged_outside_the_walk_engine() {
+        let [signatures, warmup] = PAT_WALKING_COLLECTORS;
+        for src in [
+            format!("let s = bp_signature::{signatures}(w);\n"),
+            format!("let s = bp_signature::{signatures}_with(w, &policy);\n"),
+            format!("let s = {signatures}_budgeted(w, &policy, None);\n"),
+            format!("let m = bp_warmup::{warmup}(w, &targets, 64);\n"),
+            format!("let m = {warmup}_with(w, &targets, 64, &policy);\n"),
+            format!("let m = bp_warmup::{warmup}_multi::<W>(w, &t, &c, &p);\n"),
+            format!("let p = bp_signature::{PAT_PROFILE_THREAD}(w, 0);\n"),
+        ] {
+            let findings = lint_str("crates/core/src/simulate.rs", &src);
+            assert!(findings.iter().any(|f| f.rule == Rule::CoreDrive), "must flag: {src}");
+            let findings = lint_str("crates/core/src/segment.rs", &src);
+            assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive), "segment.rs: {src}");
+            let findings = lint_str("crates/warmup/src/mru.rs", &src);
+            assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive), "out of scope: {src}");
+        }
+        // Names that merely share a prefix, imports, and a longer name that
+        // ends in one of the patterns are not walks.
+        for src in [
+            format!("use bp_signature::{signatures}_with;\n"),
+            format!("use bp_warmup::{{{warmup}, MruWarmupData}};\n"),
+            format!("let f = {PAT_PROFILE_THREAD}_count(w);\n"),
+            format!("let f = my_{warmup}(w);\n"),
+            format!("let x = self.{PAT_PROFILE_THREAD}s;\n"),
+        ] {
+            let findings = lint_str("crates/core/src/simulate.rs", &src);
+            assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive), "must not flag: {src}");
         }
     }
 

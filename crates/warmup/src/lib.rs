@@ -36,9 +36,10 @@
 //! `boundaries × capacity`.  [`MruSnapshotBank`] reconstructs any
 //! boundary's raw snapshot from the interval records and assembles
 //! [`MruWarmupData`] for any boundary subset at any capacity up to the
-//! collection capacity — bit-identical to [`PerBoundarySnapshotBank`],
-//! the retained per-boundary encoding that serves as the equivalence
-//! oracle in the test suite.  Driven alone the observer reproduces the
+//! collection capacity — bit-identical to `PerBoundarySnapshotBank`, the
+//! retained per-boundary encoding that serves as the equivalence oracle in
+//! the test suite (compiled only for tests and under the `oracle`
+//! feature).  Driven alone the observer reproduces the
 //! dedicated pass (and stops the walk after its last boundary); driven
 //! next to `bp-signature`'s profiling observer it shares the single trace
 //! generation of a fused cold pass.  The collector keeps each thread's
@@ -73,8 +74,12 @@ mod strategy;
 
 pub use apply::apply_warmup;
 pub use mru::{
-    collect_mru_warmup, collect_mru_warmup_multi, collect_mru_warmup_multi_budgeted,
-    collect_mru_warmup_with, MruCollector, MruSnapshotBank, MruThreadObserver, MruWarmupData,
-    PerBoundarySnapshotBank, PerBoundaryThreadObserver,
+    collect_mru_warmup, collect_mru_warmup_multi, collect_mru_warmup_with, MruCollector,
+    MruSnapshotBank, MruThreadObserver, MruWarmupData,
 };
+/// The per-boundary test oracles for [`MruSnapshotBank`]: compiled only for
+/// this crate's tests and under the `oracle` feature, never in production
+/// builds.
+#[cfg(any(test, feature = "oracle"))]
+pub use mru::{PerBoundarySnapshotBank, PerBoundaryThreadObserver};
 pub use strategy::WarmupStrategy;

@@ -1,4 +1,4 @@
-use bp_exec::{ExecutionPolicy, WorkerBudget};
+use bp_exec::ExecutionPolicy;
 use bp_workload::{
     BlockExecution, CheckpointError, CheckpointObserver, LineMap, LineSet, TraceObserver, Workload,
 };
@@ -68,6 +68,14 @@ type CheckpointEntry = (u64, u64, u64, u64);
 
 /// Sequence numbers at or below which [`ThreadMruState`] never compacts.
 const COMPACT_FLOOR: u64 = 4096;
+
+/// Largest access tick a restored [`ThreadMruState`] accepts.  Ticks count a
+/// thread's accesses and are never renumbered; no walk records 2^62 of them
+/// (at a billion accesses a second that takes over a century), so a larger
+/// tick can only come from a corrupt checkpoint — and below it, the rest of
+/// any walk has 3 · 2^62 increments of headroom before `next_tick` could
+/// overflow.
+const MAX_RESTORED_TICK: u64 = 1 << 62;
 
 /// One thread's MRU recency state: a sequence-indexed slot vector holding
 /// the live residencies in recency order, per-line state, and a Fenwick tree
@@ -272,8 +280,10 @@ impl ThreadMruState {
     /// and ticks increase together, the newest residency holds both
     /// counters (capacity is at least one line, so the last access is
     /// always live), lines are distinct, every dirty depth is below the
-    /// live count, and `next_seq` lies within the compaction bound — which
-    /// also bounds the slot vector allocated from it.
+    /// live count, `next_tick` stays within [`MAX_RESTORED_TICK`] (so the
+    /// next access cannot overflow it), and `next_seq` lies within the
+    /// compaction bound — which also bounds the slot vector allocated from
+    /// it.
     fn from_checkpoint(
         next_seq: u64,
         next_tick: u64,
@@ -283,6 +293,9 @@ impl ThreadMruState {
         let bound = (COMPACT_FLOOR + 1).max(8u64.saturating_mul(live + 1));
         if next_seq > bound {
             return Err(format!("sequence counter {next_seq} past compaction bound {bound}"));
+        }
+        if next_tick > MAX_RESTORED_TICK {
+            return Err(format!("access tick {next_tick} past {MAX_RESTORED_TICK}"));
         }
         let newest = entries.last().map_or((0, 0), |&(seq, _, tick, _)| (seq, tick));
         if newest != (next_seq, next_tick) {
@@ -298,6 +311,11 @@ impl ThreadMruState {
         for &(seq, line, tick, dirty_depth) in entries {
             if seq <= prev_seq || tick <= prev_tick {
                 return Err(format!("sequence {seq} / tick {tick} not increasing"));
+            }
+            // Checked here, not only through the newest entry: the slot
+            // vector is indexed by `seq` before the last entry is reached.
+            if seq > next_seq {
+                return Err(format!("sequence {seq} past the counter {next_seq}"));
             }
             (prev_seq, prev_tick) = (seq, tick);
             if dirty_depth != u64::MAX && dirty_depth >= live {
@@ -440,6 +458,7 @@ impl MruCollector {
     /// Raw per-thread recency state — `(line, dirty_depth)` least recent
     /// first — from which [`PerBoundarySnapshotBank`] derives every
     /// requested capacity's payload after the streaming pass.
+    #[cfg(any(test, feature = "oracle"))]
     fn raw_thread_state(&self, thread: usize) -> Vec<(u64, u64)> {
         let state = &self.threads[thread];
         state
@@ -475,6 +494,8 @@ fn truncate_raw(raw: &[(u64, u64)], capacity: u64) -> Vec<(u64, bool)> {
 /// Production code uses [`MruThreadObserver`]; this observer exists so
 /// equivalence tests can pin the interval encoding against the simplest
 /// possible formulation on any workload, boundary subset, and capacity.
+/// It is compiled only for tests and under the `oracle` feature.
+#[cfg(any(test, feature = "oracle"))]
 #[derive(Debug)]
 pub struct PerBoundaryThreadObserver {
     collector: MruCollector,
@@ -483,6 +504,7 @@ pub struct PerBoundaryThreadObserver {
     snapshots: Vec<Vec<(u64, u64)>>,
 }
 
+#[cfg(any(test, feature = "oracle"))]
 impl PerBoundaryThreadObserver {
     /// Creates an observer snapshotting at `boundaries` (deduplicated and
     /// sorted internally; a boundary `r` snapshot reflects all accesses of
@@ -500,6 +522,7 @@ impl PerBoundaryThreadObserver {
     }
 }
 
+#[cfg(any(test, feature = "oracle"))]
 impl TraceObserver for PerBoundaryThreadObserver {
     fn enter_region(&mut self, region: usize) {
         if self.boundaries.get(self.next) == Some(&region) {
@@ -528,7 +551,9 @@ impl TraceObserver for PerBoundaryThreadObserver {
 /// The per-boundary raw-snapshot bank assembled from
 /// [`PerBoundaryThreadObserver`] walks — the test oracle for
 /// [`MruSnapshotBank`].  Same assembly semantics, `boundaries × capacity`
-/// memory footprint.
+/// memory footprint.  Compiled only for tests and under the `oracle`
+/// feature.
+#[cfg(any(test, feature = "oracle"))]
 #[derive(Debug)]
 pub struct PerBoundarySnapshotBank {
     boundaries: Vec<usize>,
@@ -537,6 +562,7 @@ pub struct PerBoundarySnapshotBank {
     per_thread: Vec<Vec<Vec<(u64, u64)>>>,
 }
 
+#[cfg(any(test, feature = "oracle"))]
 impl PerBoundarySnapshotBank {
     /// Assembles the bank from the finished observers of threads `0..n`, in
     /// thread order.
@@ -674,8 +700,9 @@ struct IntervalRecord {
 /// trace generation of a fused cold pass.  Hand the finished observers of
 /// all threads to [`MruSnapshotBank::from_observers`] to assemble
 /// [`MruWarmupData`] for any target subset at any capacity up to the
-/// collection capacity — bit-identical to [`PerBoundaryThreadObserver`],
-/// which is retained as the oracle for exactly that claim.
+/// collection capacity — bit-identical to `PerBoundaryThreadObserver`, the
+/// per-boundary test oracle (feature `oracle`) retained for exactly that
+/// claim.
 #[derive(Debug)]
 pub struct MruThreadObserver {
     collector: MruCollector,
@@ -977,9 +1004,12 @@ impl MruSnapshotBank {
             per_thread: per_thread
                 .into_iter()
                 .map(|segments| {
-                    let mut records = Vec::new();
-                    for observer in segments {
-                        records.extend(observer.finish(taken));
+                    let mut segments = segments.into_iter().map(|observer| observer.finish(taken));
+                    // The first segment's records hold the rest: a one-segment
+                    // (sequential) walk is stitched without a copy.
+                    let mut records = segments.next().unwrap_or_default();
+                    for finished in segments {
+                        records.extend(finished);
                     }
                     records
                 })
@@ -1134,36 +1164,13 @@ pub fn collect_mru_warmup_multi<W: Workload + ?Sized>(
     capacities: &[u64],
     policy: &ExecutionPolicy,
 ) -> HashMap<u64, HashMap<usize, MruWarmupData>> {
-    collect_mru_warmup_multi_budgeted(workload, targets, capacities, policy, None)
-}
-
-/// [`collect_mru_warmup_multi`] with the thread-major fan-out optionally
-/// drawing helper threads from a shared [`WorkerBudget`] instead of a
-/// private per-call pool — how a design-space sweep lets a cold leg's
-/// collection borrow workers idled by drained sibling legs (and vice
-/// versa).  Output is identical for every budget.
-pub fn collect_mru_warmup_multi_budgeted<W: Workload + ?Sized>(
-    workload: &W,
-    targets: &[usize],
-    capacities: &[u64],
-    policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
-) -> HashMap<u64, HashMap<usize, MruWarmupData>> {
-    let mut wanted: Vec<usize> = targets.to_vec();
-    wanted.sort_unstable();
-    wanted.dedup();
     let collection_capacity = capacities.iter().copied().max().unwrap_or(1).max(1);
-    let walk = |thread: usize| {
-        let mut observer = MruThreadObserver::new(&wanted, collection_capacity);
+    let observers = policy.execute(workload.num_threads(), |thread| {
+        let mut observer = MruThreadObserver::new(targets, collection_capacity);
         bp_workload::drive(workload, thread, &mut [&mut observer]);
         observer
-    };
-    let threads = workload.num_threads();
-    let observers = match budget {
-        Some(budget) => policy.execute_budgeted(threads, budget, walk),
-        None => policy.execute(threads, walk),
-    };
-    MruSnapshotBank::from_observers(observers).assemble_multi(&wanted, capacities)
+    });
+    MruSnapshotBank::from_observers(observers).assemble_multi(targets, capacities)
 }
 
 #[cfg(test)]
@@ -1794,9 +1801,60 @@ mod tests {
         assert!(ok(0, 0, &[]));
         // Ticks must increase with sequences.
         assert!(!ok(4, 4, &[(2, 5, 4, 0), (4, 7, 4, 0)]));
+        // A sequence past the counter before the newest entry (it would
+        // index past the slot vector).
+        assert!(!ok(4, 4, &[(9, 5, 1, 0), (4, 7, 4, 0)]));
         // A dirty depth at or past the live count.
         assert!(!ok(4, 4, &[(2, 5, 2, 2), (4, 7, 4, 0)]));
         assert!(ok(4, 4, &[(2, 5, 2, u64::MAX), (4, 7, 4, 0)]));
+        // An access tick the next access would overflow, and the bound on
+        // ticks no walk reaches.
+        assert!(!ok(1, u64::MAX, &[(1, 5, u64::MAX, u64::MAX)]));
+        assert!(ok(1, 1 << 62, &[(1, 5, 1 << 62, u64::MAX)]));
+        assert!(!ok(1, (1 << 62) + 1, &[(1, 5, (1 << 62) + 1, u64::MAX)]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Decoder robustness: a real snapshot, the same snapshot bit-flipped,
+        /// truncated or extended, and plain arbitrary bytes.  `restore` never
+        /// panics, the real snapshot restores, and whatever state `restore`
+        /// accepts walks the rest of the trace — and seals — without
+        /// panicking.
+        #[test]
+        fn restore_never_panics_and_accepted_states_walk_on(
+            mutation in 0usize..5,
+            pos in any::<usize>(),
+            bit in 0u32..8,
+            tail in proptest::collection::vec(any::<u8>(), 1..40),
+            noise in proptest::collection::vec(any::<u8>(), 0..160),
+        ) {
+            let w = Benchmark::NpbIs.build(&WorkloadConfig::new(1).with_scale(0.02));
+            let boundaries: Vec<usize> = (0..w.num_regions()).collect();
+            let cut = 3;
+            let mut source = MruThreadObserver::new(&boundaries, 64);
+            bp_workload::drive_segment(&w, 0, 0, cut, &mut [&mut source]);
+            let mut bytes = source.snapshot_at(cut);
+            match mutation {
+                0 => {}
+                1 => {
+                    let at = pos % bytes.len();
+                    bytes[at] ^= 1 << bit;
+                }
+                2 => bytes.truncate(pos % bytes.len()),
+                3 => bytes.extend_from_slice(&tail),
+                _ => bytes = noise,
+            }
+            let mut restored = MruThreadObserver::new(&boundaries, 64);
+            let accepted = restored.restore(cut, &bytes).is_ok();
+            prop_assert!(accepted || mutation != 0, "a real snapshot must restore");
+            if accepted {
+                bp_workload::drive_segment(&w, 0, cut, w.num_regions(), &mut [&mut restored]);
+                restored.seal();
+                prop_assert_eq!(restored.next, boundaries.len());
+            }
+        }
     }
 
     proptest! {

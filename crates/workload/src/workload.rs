@@ -103,6 +103,39 @@ pub trait Workload: Send + Sync {
     }
 }
 
+/// A shared reference to a workload is a workload: lets code that holds
+/// one generic `&W` (possibly unsized) and some `&dyn Workload`s treat them
+/// all as `&dyn Workload`.
+impl<T: Workload + ?Sized> Workload for &T {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn num_threads(&self) -> usize {
+        (**self).num_threads()
+    }
+
+    fn num_regions(&self) -> usize {
+        (**self).num_regions()
+    }
+
+    fn block_table(&self) -> &BlockTable {
+        (**self).block_table()
+    }
+
+    fn region_trace(&self, region: usize, thread: usize) -> RegionTrace {
+        (**self).region_trace(region, thread)
+    }
+
+    fn region_phase_name(&self, region: usize) -> &str {
+        (**self).region_phase_name(region)
+    }
+
+    fn profile_fingerprint(&self) -> u64 {
+        (**self).profile_fingerprint()
+    }
+}
+
 /// FNV-1a accumulator for [`Workload::profile_fingerprint`] implementations.
 ///
 /// Deliberately not `std::hash::Hasher`: `DefaultHasher` is allowed to change

@@ -2,9 +2,10 @@
 //! detailed-simulation ground truth on several benchmarks.
 
 use barrierpoint::evaluate::{estimate_from_full_run, prediction_error, speedups};
-use barrierpoint::{BarrierPoint, SignatureConfig, SimPointConfig, WarmupKind};
+use barrierpoint::{BarrierPoint, SignatureConfig, SimPointConfig, SimPointStrategy, WarmupKind};
 use bp_sim::{Machine, SimConfig};
 use bp_workload::{Benchmark, Workload, WorkloadConfig};
+use std::sync::Arc;
 
 /// Small scale so the whole suite stays fast; 4 threads keeps coherence and
 /// multi-socket-free behaviour simple and deterministic.
@@ -102,7 +103,9 @@ fn accuracy_improves_with_max_k() {
     let mut errors = Vec::new();
     for max_k in [1, 20] {
         let selection = BarrierPoint::new(&w)
-            .with_simpoint_config(SimPointConfig::paper().with_max_k(max_k))
+            .with_selection_strategy(Arc::new(SimPointStrategy::new(
+                SimPointConfig::paper().with_max_k(max_k),
+            )))
             .select()
             .unwrap()
             .into_selection();

@@ -10,10 +10,9 @@
 //! random cut sets, all the way downstream through barrierpoint selection.
 
 use barrierpoint::{
-    collect_warmup_bank_segmented, profile_and_collect_warmup,
-    profile_and_collect_warmup_checkpointed, profile_and_collect_warmup_segmented,
-    profile_application_segmented, select_barrierpoints, ExecutionPolicy, SignatureConfig,
-    SimPointConfig, WorkerBudget,
+    profile_and_collect_warmup, profile_and_collect_warmup_checkpointed,
+    profile_and_collect_warmup_segmented, select_barrierpoints, walk, ExecutionPolicy, Observe,
+    SignatureConfig, SimPointConfig, WalkPlan, WorkerBudget,
 };
 use bp_workload::{Benchmark, SyntheticWorkloadBuilder, Workload, WorkloadConfig};
 use proptest::prelude::*;
@@ -100,32 +99,28 @@ fn segmented_walks_are_schedule_invariant_under_the_worker_budget() {
     )
     .unwrap();
     assert_eq!(checkpoints.segment_jobs(), 12, "4 threads × 3 segments");
-    let serial =
-        profile_application_segmented(&w, &checkpoints, &ExecutionPolicy::Serial, None).unwrap();
-    let parallel =
-        profile_application_segmented(&w, &checkpoints, &ExecutionPolicy::parallel_with(12), None)
-            .unwrap();
+    let plan = WalkPlan::Resume(&checkpoints);
+    let serial = walk(&w, plan, Observe::Profile, &ExecutionPolicy::Serial, None).unwrap().profile;
+    let parallel = walk(&w, plan, Observe::Profile, &ExecutionPolicy::parallel_with(12), None)
+        .unwrap()
+        .profile;
     let budget = WorkerBudget::new(5);
-    let budgeted = profile_application_segmented(
-        &w,
-        &checkpoints,
-        &ExecutionPolicy::parallel_with(12),
-        Some(&budget),
-    )
-    .unwrap();
+    let budgeted =
+        walk(&w, plan, Observe::Profile, &ExecutionPolicy::parallel_with(12), Some(&budget))
+            .unwrap()
+            .profile;
     assert_eq!(serial, parallel);
     assert_eq!(serial, budgeted);
     assert_eq!(budget.available(), 5, "all permits returned");
     let targets = probe_targets(w.num_regions());
+    let every_region: Vec<usize> = (0..w.num_regions()).collect();
+    let observe = Observe::Warmup { boundaries: &every_region, capacity: COLLECTION };
     let serial_bank =
-        collect_warmup_bank_segmented(&w, &checkpoints, &ExecutionPolicy::Serial, None).unwrap();
-    let budgeted_bank = collect_warmup_bank_segmented(
-        &w,
-        &checkpoints,
-        &ExecutionPolicy::parallel_with(12),
-        Some(&budget),
-    )
-    .unwrap();
+        walk(&w, plan, observe, &ExecutionPolicy::Serial, None).unwrap().bank.unwrap();
+    let budgeted_bank = walk(&w, plan, observe, &ExecutionPolicy::parallel_with(12), Some(&budget))
+        .unwrap()
+        .bank
+        .unwrap();
     assert_eq!(
         serial_bank.assemble(&targets, COLLECTION),
         budgeted_bank.assemble(&targets, COLLECTION)
