@@ -36,6 +36,21 @@ fn bench(c: &mut Criterion) {
             .unwrap()
         })
     });
+    // npb-sp's 3,601 regions carry only 17 distinct signatures, so this is
+    // the case where SimPoint's per-distinct-signature distance work shows;
+    // 32 of npb-cg's 46 regions are distinct.
+    let sp_profile = profile_application(&config.workload(Benchmark::NpbSp, config.cores_small))
+        .expect("profiling succeeds");
+    group.bench_function("cluster_npb_sp", |b| {
+        b.iter(|| {
+            select_barrierpoints(
+                &sp_profile,
+                &SignatureConfig::combined(),
+                &SimPointConfig::paper(),
+            )
+            .unwrap()
+        })
+    });
     group.bench_function("ground_truth_full_simulation_npb_cg", |b| {
         b.iter(|| Machine::new(&run.sim_config).run_full(&workload))
     });

@@ -18,10 +18,16 @@ use crate::kmeans::KMeansResult;
 pub fn bic_score(points: &[Vec<f64>], weights: &[f64], result: &KMeansResult) -> f64 {
     assert_eq!(points.len(), weights.len(), "one weight per point");
     assert_eq!(points.len(), result.assignments.len(), "one assignment per point");
-    let dim = points.first().map(|p| p.len()).unwrap_or(0) as f64;
+    weighted_bic(points.first().map_or(0, |p| p.len()), weights, result)
+}
+
+/// [`bic_score`] for points of dimension `dim`: the score reads only the
+/// weights, the assignments and the inertia, never the points themselves.
+pub(crate) fn weighted_bic(dim: usize, weights: &[f64], result: &KMeansResult) -> f64 {
+    let dim = dim as f64;
     let k = result.centroids.len();
     let total_weight: f64 = weights.iter().sum();
-    if total_weight <= 0.0 || points.is_empty() {
+    if total_weight <= 0.0 || weights.is_empty() {
         return f64::NEG_INFINITY;
     }
 
@@ -38,11 +44,10 @@ pub fn bic_score(points: &[Vec<f64>], weights: &[f64], result: &KMeansResult) ->
 
     // Weighted log-likelihood.
     let mut log_likelihood = 0.0;
-    for (c, &rn) in cluster_weight.iter().enumerate() {
+    for &rn in &cluster_weight {
         if rn <= 0.0 {
             continue;
         }
-        let _ = c;
         log_likelihood += rn * rn.ln()
             - rn * total_weight.ln()
             - rn * dim / 2.0 * (2.0 * std::f64::consts::PI * variance).ln()

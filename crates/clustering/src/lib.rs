@@ -25,6 +25,18 @@
 //!   instruction-count multiplier ([`cluster_regions`]).  This is the
 //!   from-scratch substitute for the SimPoint 3.2 binary the paper invokes;
 //!   its defaults mirror Table II ([`SimPointConfig`]).
+//!
+//!   The distance work scales with **distinct** signatures, not regions:
+//!   regions are grouped by the bits of their signature values, and
+//!   normalization, projection, k-means++ seeding distances, assignment
+//!   and inertia distances are computed once per group (npb-sp's 3,601
+//!   regions carry 17 distinct signatures).  Every floating-point
+//!   reduction — seeding scores and their cumulative pick scans, weighted
+//!   centroid sums, inertia, BIC — still runs over the regions in their
+//!   original order, so the [`Clustering`] is bit-identical to clustering
+//!   each region separately.  k-means never runs on the collapsed,
+//!   one-weighted-point-per-signature set: that changes the k-means++
+//!   draws and with them the selected barrierpoints.
 //! * [`TwoPhaseStratified`] — a cheap deterministic alternative (after
 //!   NVIDIA's two-phase stratified CPU-sampling methodology): phase 1
 //!   buckets regions by quantized coarse signature features, phase 2 spreads
@@ -72,12 +84,20 @@
 
 mod bic;
 mod kmeans;
+#[cfg(any(test, feature = "oracle"))]
+mod oracle;
 mod projection;
 mod simpoint;
 mod strategy;
 
 pub use bic::bic_score;
 pub use kmeans::{weighted_kmeans, KMeansResult};
+/// The per-point reference implementations of [`weighted_kmeans`] and
+/// [`cluster_regions`]: the bit-identity oracles of the equivalence suites,
+/// compiled only for this crate's tests and under the `oracle` feature,
+/// never in production builds.
+#[cfg(any(test, feature = "oracle"))]
+pub use oracle::{reference_cluster_regions, reference_weighted_kmeans};
 pub use projection::RandomProjection;
 pub use simpoint::{cluster_regions, ClusterSummary, Clustering, SimPointConfig};
 pub use strategy::{

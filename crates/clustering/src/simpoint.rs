@@ -1,5 +1,5 @@
-use crate::bic::bic_score;
-use crate::kmeans::weighted_kmeans;
+use crate::bic::weighted_bic;
+use crate::kmeans::{distinct_kmeans, DistinctPoints};
 use crate::projection::RandomProjection;
 use bp_signature::SignatureVector;
 use serde::{Deserialize, Serialize};
@@ -90,6 +90,15 @@ impl Clustering {
         Self { assignments, clusters, chosen_k, bic_by_k: Vec::new() }
     }
 
+    /// Assembles the result of a BIC sweep over candidate `k`.
+    pub(crate) fn from_sweep(
+        assignments: Vec<usize>,
+        clusters: Vec<ClusterSummary>,
+        bic_by_k: Vec<(usize, f64)>,
+    ) -> Self {
+        Self { assignments, chosen_k: clusters.len(), clusters, bic_by_k }
+    }
+
     /// Cluster index of region `region`.
     pub fn assignment(&self, region: usize) -> usize {
         self.assignments[region]
@@ -141,6 +150,13 @@ impl Clustering {
 /// representative selection favouring regions close to the cluster centre
 /// with ties broken towards longer regions.
 ///
+/// Regions are grouped once by the bits of their signature values, and
+/// normalization, projection and every k-means distance are computed once
+/// per distinct signature (hundreds of identical solver iterations share
+/// one).  Weights stay per region and every reduction keeps region order,
+/// so the result is bit-identical to clustering each region separately
+/// (see [`weighted_kmeans`](crate::weighted_kmeans)).
+///
 /// # Panics
 ///
 /// Panics if `vectors` is empty or if the vectors have differing dimensions.
@@ -152,20 +168,29 @@ pub fn cluster_regions(vectors: &[SignatureVector], config: &SimPointConfig) -> 
         "all signature vectors must have the same dimension"
     );
 
-    // Normalize and project.
+    // Normalize and project once per distinct signature.
     let projection = RandomProjection::new(dim, config.projected_dimensions, config.seed);
-    let points: Vec<Vec<f64>> =
-        vectors.iter().map(|v| projection.project(v.normalized().values())).collect();
+    let distinct = DistinctPoints::group(
+        vectors.len(),
+        |i| vectors[i].values(),
+        |i| projection.project(vectors[i].normalized().values()),
+    );
     let weights: Vec<f64> = vectors.iter().map(|v| v.instructions() as f64).collect();
+    let projected_dim = distinct.points[0].len();
 
     // Sweep k and score with the BIC.
     let max_k = config.max_k.max(1).min(vectors.len());
     let mut runs = Vec::with_capacity(max_k);
     for k in 1..=max_k {
-        let result =
-            weighted_kmeans(&points, &weights, k, config.kmeans_iterations, config.seed + k as u64);
-        let score = bic_score(&points, &weights, &result);
-        runs.push((k, score, result));
+        let run = distinct_kmeans(
+            &distinct,
+            &weights,
+            k,
+            config.kmeans_iterations,
+            config.seed + k as u64,
+        );
+        let score = weighted_bic(projected_dim, &weights, &run.0);
+        runs.push((k, score, run));
     }
     let best_score = runs.iter().map(|(_, s, _)| *s).fold(f64::NEG_INFINITY, f64::max);
     let worst_score =
@@ -175,31 +200,27 @@ pub fn cluster_regions(vectors: &[SignatureVector], config: &SimPointConfig) -> 
     let cutoff = worst_score + (best_score - worst_score) * config.bic_threshold;
     let chosen = runs.iter().find(|(_, s, _)| *s >= cutoff).map(|(k, _, _)| *k).unwrap_or(max_k);
     let bic_by_k: Vec<(usize, f64)> = runs.iter().map(|(k, s, _)| (*k, *s)).collect();
-    let Some((_, _, result)) = runs.into_iter().find(|(k, _, _)| *k == chosen) else {
+    let Some((_, _, (result, distances))) = runs.into_iter().find(|(k, _, _)| *k == chosen) else {
         // `chosen` is either a run's own k or `max_k`, and every candidate
         // k up to `max_k` has a run.
         unreachable!("k={chosen} is not among the candidate runs")
     };
 
     // Build cluster summaries: representative = member closest to the
-    // centroid, ties broken towards the heaviest member.
+    // centroid, ties broken towards the heaviest member.  Member lists come
+    // from one pass over the assignments, in region order, and a member's
+    // distance to its centroid is its distinct signature's.
     let total_weight: f64 = weights.iter().sum();
+    let mut members_of = vec![Vec::new(); result.centroids.len()];
+    for (region, &cluster) in result.assignments.iter().enumerate() {
+        members_of[cluster].push(region);
+    }
+    let distance_to_centroid = |m: usize| distances[distinct.index[m]];
     let mut clusters = Vec::new();
-    for cluster in 0..result.centroids.len() {
-        let members: Vec<usize> = result
-            .assignments
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c == cluster)
-            .map(|(i, _)| i)
-            .collect();
+    for (cluster, members) in members_of.into_iter().enumerate() {
         if members.is_empty() {
             continue;
         }
-        let centroid = &result.centroids[cluster];
-        let distance_to_centroid = |m: usize| -> f64 {
-            points[m].iter().zip(centroid).map(|(x, c)| (x - c) * (x - c)).sum()
-        };
         let min_distance =
             members.iter().map(|&m| distance_to_centroid(m)).fold(f64::INFINITY, f64::min);
         // Representative: the member closest to the centroid; ties (regions
@@ -231,7 +252,7 @@ pub fn cluster_regions(vectors: &[SignatureVector], config: &SimPointConfig) -> 
         });
     }
 
-    Clustering { assignments: result.assignments, chosen_k: clusters.len(), clusters, bic_by_k }
+    Clustering::from_sweep(result.assignments, clusters, bic_by_k)
 }
 
 #[cfg(test)]
